@@ -12,8 +12,7 @@
 //!
 //! The original IE uses a PMIA-style local estimation; we estimate `AP` by
 //! Monte Carlo over the triggering model instead, which keeps the module
-//! model-generic and is an accuracy-favouring substitution (documented in
-//! DESIGN.md). `α = 0.7` and 20 ranking iterations follow the paper's
+//! model-generic and is an accuracy-favouring substitution. `α = 0.7` and 20 ranking iterations follow the paper's
 //! recommended settings (§7.3).
 
 use crate::SeedSelector;

@@ -12,8 +12,7 @@
 //!
 //! This implementation keeps the path-enumeration semantics and the
 //! lookahead batching, but evaluates candidates directly rather than
-//! through the vertex-cover / backward-walk optimisations of the original —
-//! a simplification documented in DESIGN.md.
+//! through the vertex-cover / backward-walk optimisations of the original.
 
 use crate::SeedSelector;
 use std::cmp::Ordering;

@@ -1,4 +1,4 @@
-//! Greedy max-coverage ablation (DESIGN.md decision 3): lazy-heap vs
+//! Greedy max-coverage ablation: lazy-heap vs
 //! bucket-queue selection over a realistic RR-set collection.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

@@ -6,7 +6,9 @@
 //!   per in-edge, LT one per node, so LT wins on edge-heavy graphs);
 //! - serial vs sharded-parallel bulk generation (our §8-future-work
 //!   extension; on a single-core machine the parallel path measures the
-//!   sharding overhead).
+//!   sharding overhead). Bulk generation is the node-selection stream,
+//!   which draws uniform-probability IC nodes by geometric jumps, so it
+//!   costs less than `EPT` per set; `rr_single` keeps one coin per edge.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;

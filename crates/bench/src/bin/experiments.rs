@@ -14,9 +14,8 @@
 //!
 //! Absolute numbers differ from the paper (synthetic stand-in datasets,
 //! different hardware); the *shapes* — method ordering, crossovers in k
-//! and ε — are the reproduction target. See EXPERIMENTS.md for recorded
-//! runs, and DESIGN.md §4–5 for the dataset substitutions and the
-//! experiment index.
+//! and ε — are the reproduction target. `tim_eval::datasets` documents
+//! the dataset substitutions.
 
 use std::time::Duration;
 use tim_baselines::celf::{CelfGreedy, CelfVariant};
@@ -707,7 +706,7 @@ fn fig12(opts: &Opts) {
     }
 }
 
-// --------------------------- ablations (DESIGN.md §6 decision targets)
+// --------------------------- ablations
 
 fn ablation(opts: &Opts) {
     let g = prepare(Dataset::NetHept, opts.scale, Model::Ic);

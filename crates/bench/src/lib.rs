@@ -1,8 +1,8 @@
 //! Shared plumbing for the experiment harness (`experiments` binary) and
 //! the criterion benches.
 //!
-//! Every figure/table of the paper maps to one harness subcommand; see
-//! DESIGN.md §5 for the index and EXPERIMENTS.md for recorded runs.
+//! Every figure/table of the paper maps to one harness subcommand; the
+//! `experiments` binary's module docs list them.
 
 pub mod json;
 

@@ -63,7 +63,8 @@ impl BulkStats {
     }
 }
 
-/// Generates `theta` random RR sets into a [`SetCollection`].
+/// Generates `theta` random RR sets into a [`SetCollection`] — the
+/// node-selection stream.
 ///
 /// `threads = 1` runs inline; larger values use scoped worker threads. The
 /// output is identical for any `threads` value — and for any graph
@@ -71,12 +72,41 @@ impl BulkStats {
 /// heap [`Graph`](tim_graph::Graph) and an
 /// [`MmapCsr`](tim_graph::MmapCsr) view of the same snapshot produce
 /// bit-identical collections.
+///
+/// IC nodes whose in-edges share one probability are drawn by geometric
+/// jumps ([`RrSampler::jumping`]); the estimation phases sample with
+/// [`generate_rr_sets_per_edge`] instead.
 pub fn generate_rr_sets<G: CsrAccess, M: DiffusionModel<G> + Sync>(
     graph: &G,
     model: &M,
     theta: u64,
     seed: u64,
     threads: usize,
+) -> (SetCollection, BulkStats) {
+    generate(graph, model, theta, seed, threads, RrSampler::jumping)
+}
+
+/// [`generate_rr_sets`] with one coin per in-edge under IC, as the paper
+/// samples ([`RrSampler::new`]). Same distribution, different stream:
+/// the estimation phases keep it so their RR sets — and hence KPT⁺ and
+/// every θ — do not depend on the selection sampler.
+pub fn generate_rr_sets_per_edge<G: CsrAccess, M: DiffusionModel<G> + Sync>(
+    graph: &G,
+    model: &M,
+    theta: u64,
+    seed: u64,
+    threads: usize,
+) -> (SetCollection, BulkStats) {
+    generate(graph, model, theta, seed, threads, RrSampler::new)
+}
+
+fn generate<'m, G: CsrAccess, M: DiffusionModel<G> + Sync>(
+    graph: &G,
+    model: &'m M,
+    theta: u64,
+    seed: u64,
+    threads: usize,
+    sampler: fn(&'m M) -> RrSampler<&'m M>,
 ) -> (SetCollection, BulkStats) {
     assert!(graph.n() >= 1, "generate_rr_sets: empty graph");
     let mut base = Rng::seed_from_u64(seed);
@@ -95,7 +125,7 @@ pub fn generate_rr_sets<G: CsrAccess, M: DiffusionModel<G> + Sync>(
         let mut collection =
             SetCollection::with_capacity(graph.n(), theta as usize, theta as usize * 2);
         let mut stats = BulkStats::default();
-        let mut sampler = RrSampler::new(model);
+        let mut sampler = sampler(model);
         let mut buf = Vec::new();
         for (rng, &count) in shard_rngs.iter_mut().zip(&shard_counts) {
             for _ in 0..count {
@@ -119,7 +149,7 @@ pub fn generate_rr_sets<G: CsrAccess, M: DiffusionModel<G> + Sync>(
             .zip(locals.chunks_mut(chunk))
         {
             scope.spawn(move || {
-                let mut sampler = RrSampler::new(model);
+                let mut sampler = sampler(model);
                 let mut buf = Vec::new();
                 for ((rng, &count), slot) in rng_chunk
                     .iter_mut()

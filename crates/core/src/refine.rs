@@ -10,7 +10,7 @@
 
 use crate::kpt::KptEstimate;
 use crate::math::{epsilon_prime, lambda_prime};
-use crate::parallel::generate_rr_sets;
+use crate::parallel::generate_rr_sets_per_edge;
 use crate::select::run_greedy;
 use crate::tim::GreedyImpl;
 use tim_coverage::SelectStrategy;
@@ -68,7 +68,8 @@ pub fn refine_kpt<G: CsrAccess, M: DiffusionModel<G> + Sync>(
     // Lines 7-9: θ' fresh RR sets.
     let lam_p = lambda_prime(n, eps_p, ell);
     let theta_prime = (lam_p / kpt.kpt_star).ceil().max(1.0) as u64;
-    let (collection, _) = generate_rr_sets(graph, model, theta_prime, rng.next_u64(), threads);
+    let (collection, _) =
+        generate_rr_sets_per_edge(graph, model, theta_prime, rng.next_u64(), threads);
 
     // Lines 10-12.
     let f = collection.coverage_fraction(&candidate);

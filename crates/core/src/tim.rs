@@ -210,7 +210,22 @@ pub fn select_stream_seed(seed: u64) -> u64 {
     let mut base = Rng::seed_from_u64(seed);
     let _kpt_rng = base.split_off();
     let _refine_rng = base.split_off();
-    base.next_u64()
+    select_seed_from(&mut base)
+}
+
+/// Revision of the node-selection sampler. Revision 2 draws uniform IC
+/// nodes by geometric jumps (revision 1 flipped one coin per in-edge).
+/// Salting the selection seed with it means a pool sampled by an older
+/// revision fails the engine's `select_stream_seed` provenance check and
+/// is rebuilt instead of serving answers a fresh run no longer gives.
+const SELECT_STREAM_REVISION: u64 = 2;
+
+/// The selection seed drawn from `base` after the KPT and refinement
+/// streams were split off — the one derivation [`select_stream_seed`] and
+/// the planner share.
+fn select_seed_from(base: &mut Rng) -> u64 {
+    let salt = (SELECT_STREAM_REVISION - 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    base.next_u64() ^ salt
 }
 
 /// The TIM algorithm (§3.3): parameter estimation + node selection.
@@ -335,7 +350,7 @@ fn plan_impl<G: CsrAccess, M: DiffusionModel<G> + Sync>(
     let mut base = Rng::seed_from_u64(cfg.seed);
     let mut kpt_rng = base.split_off();
     let mut refine_rng = base.split_off();
-    let select_seed = base.next_u64();
+    let select_seed = select_seed_from(&mut base);
 
     let mut phases = PhaseTimings::default();
 

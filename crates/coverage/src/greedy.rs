@@ -184,7 +184,7 @@ pub fn greedy_max_cover_indexed_stats<C: SetsAccess>(
 /// Greedy max-coverage with a bucket queue (linear-time variant).
 ///
 /// Functionally identical to [`greedy_max_cover`]; kept separate as the
-/// DESIGN.md ablation target for the selection data structure.
+/// `max_cover` bench's ablation target for the selection data structure.
 pub fn greedy_max_cover_bucket(collection: &mut SetCollection, k: usize) -> CoverResult {
     collection.ensure_inverted_index();
     greedy_max_cover_bucket_indexed(collection, k)

@@ -35,6 +35,15 @@ pub trait DiffusionModel<G: CsrAccess = Graph>: Sync {
         graph.in_degree(node) as u64
     }
 
+    /// True when `T(v)` holds each in-neighbour `u` independently with
+    /// probability `p(u, v)` — Independent Cascade. Such a triggering set
+    /// may be drawn by geometric jumps instead of one coin per in-edge,
+    /// which [`RrSampler::jumping`](crate::RrSampler::jumping) does where
+    /// a node's in-edges share one probability.
+    fn independent_in_edges(&self) -> bool {
+        false
+    }
+
     /// Runs one forward propagation from `seeds`, returning the number of
     /// activated nodes (one Monte Carlo sample of `I(S)`).
     ///
@@ -66,6 +75,11 @@ impl<G: CsrAccess, M: DiffusionModel<G> + ?Sized> DiffusionModel<G> for &M {
     #[inline]
     fn draws_per_node(&self, graph: &G, node: NodeId) -> u64 {
         (**self).draws_per_node(graph, node)
+    }
+
+    #[inline]
+    fn independent_in_edges(&self) -> bool {
+        (**self).independent_in_edges()
     }
 
     fn simulate(
@@ -120,6 +134,10 @@ impl<G: CsrAccess> DiffusionModel<G> for IndependentCascade {
                 out.push(u);
             }
         }
+    }
+
+    fn independent_in_edges(&self) -> bool {
+        true
     }
 
     fn simulate(
@@ -250,6 +268,11 @@ impl<G: CsrAccess> DiffusionModel<G> for ModelKind {
                 DiffusionModel::<G>::draws_per_node(&LinearThreshold, graph, node)
             }
         }
+    }
+
+    #[inline]
+    fn independent_in_edges(&self) -> bool {
+        matches!(self, ModelKind::IndependentCascade)
     }
 
     fn simulate(

@@ -312,7 +312,9 @@ impl<M: BackingModel + Clone> QueryEngine<M> {
         }
         if meta.select_seed != select_stream_seed(meta.seed) {
             return Err(EngineError::Mismatch(
-                "pool's select seed is not derived from its run seed".into(),
+                "pool's select seed is not its run seed's under this selection-sampler \
+                 revision (sampled by an older sampler, or tampered with)"
+                    .into(),
             ));
         }
         // f64::from_bits accepts anything, so a structurally valid pool can

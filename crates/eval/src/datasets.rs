@@ -14,8 +14,6 @@
 //! (undirected benchmarks become arc pairs, as in the authors' code).
 //! `default_scale` shrinks the largest graphs so the full experiment suite
 //! finishes on a laptop; the harness prints the actual n and m used.
-//! DESIGN.md §4 explains why this substitution preserves the experiments'
-//! behaviour.
 
 use tim_graph::{gen, Graph};
 

@@ -4,7 +4,7 @@
 //! crawls are not redistributable (and the Twitter graph is 1.4 B edges),
 //! so this workspace reproduces the experiments on synthetic stand-ins with
 //! matching shape: heavy-tailed degree distributions, the same m/n ratio
-//! and directedness. See DESIGN.md §4 for the mapping.
+//! and directedness. `tim_eval::datasets` maps each dataset to its generator.
 //!
 //! All generators are pure functions of their parameters and a seed.
 

@@ -332,9 +332,9 @@ impl<M: BackingModel + Clone> PoolCache<M> {
     }
 
     /// Spills `engine`'s pool and records the spilled epoch on the slot.
-    /// Returns whether the pool actually reached the store — callers
+    /// Returns whether this call wrote the pool to the store — callers
     /// reporting persistence (the `persist` verb) must not claim success
-    /// on a failed write.
+    /// on a failed write, nor count a pool another spill already wrote.
     fn spill_entry(
         &self,
         key: &PoolKey,
@@ -352,6 +352,12 @@ impl<M: BackingModel + Clone> PoolCache<M> {
         // Read the epoch BEFORE snapshotting: growth that races with the
         // snapshot stays "dirty" and re-spills later, never the reverse.
         let epoch = engine.growth_epoch();
+        // Re-check under the lock: a spill of this epoch may have finished
+        // while we waited (a sync that raced a cold build's write-through
+        // read the slot before the build recorded its spill).
+        if self.spilled_epoch(key, entry).is_some_and(|s| s >= epoch) {
+            return false;
+        }
         match store.spill(&engine.to_pool()) {
             Ok(_) => {
                 self.spills.fetch_add(1, Ordering::Relaxed);
@@ -366,6 +372,16 @@ impl<M: BackingModel + Clone> PoolCache<M> {
                 false
             }
         }
+    }
+
+    /// The slot's spilled epoch, if the slot still holds this entry.
+    fn spilled_epoch(&self, key: &PoolKey, entry: &Arc<Entry<M>>) -> Option<u64> {
+        let inner = self.inner.lock().expect(POISONED);
+        inner
+            .entries
+            .get(key)
+            .filter(|slot| Arc::ptr_eq(&slot.entry, entry))
+            .and_then(|slot| slot.spilled_epoch)
     }
 
     /// Records that the on-disk file equals the pool at `epoch`, if the
@@ -856,6 +872,71 @@ mod tests {
         assert_eq!(built.load(Ordering::SeqCst), 1, "corrupt file → rebuild");
         assert_eq!(store.stats().quarantined, 1);
         assert_eq!(cache2.stats().loads, 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn pool_from_an_older_selection_sampler_is_quarantined_and_rebuilt() {
+        let g = graph();
+        let k = true_key(&g, 1.0);
+        // The selection seed as the per-edge sampler (revision 1) derived
+        // it: drawn after the KPT and refinement streams split off, unsalted.
+        let old_select_seed = {
+            use tim_rng::{RandomSource, Rng};
+            let mut base = Rng::seed_from_u64(k.seed);
+            let _kpt = base.split_off();
+            let _refine = base.split_off();
+            base.next_u64()
+        };
+        assert_ne!(old_select_seed, tim_core::select_stream_seed(k.seed));
+        for (tag, v2, mmap_pools) in [
+            ("stale_v1", false, false),
+            ("stale_v2_heap", true, false),
+            ("stale_v2_mapped", true, true),
+        ] {
+            let (dir, store) = tmp_store(tag);
+            let mut stale = cheap_engine(&g, 1.0).to_pool();
+            stale.meta.select_seed = old_select_seed;
+            let path = store.path_for(&k);
+            if v2 {
+                stale.save_v2(&path).unwrap();
+            } else {
+                stale.save(&path).unwrap();
+            }
+
+            let cache = PoolCache::with_store(2, Arc::clone(&store), true, mmap_pools);
+            cache.get_or_load(&k, |p| restore(&g, p), || cheap_engine(&g, 1.0));
+            let s = cache.stats();
+            assert_eq!((s.builds, s.loads), (1, 0), "{tag}: refused, rebuilt");
+            assert_eq!(store.stats().quarantined, 1, "{tag}");
+            // The rebuild was written back under the current derivation.
+            let fresh = store.probe(&k).unwrap().expect("rebuilt pool spilled");
+            assert_eq!(fresh.meta.select_seed, tim_core::select_stream_seed(k.seed));
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn a_sync_queued_behind_a_cold_builds_write_through_does_not_respill() {
+        let g = graph();
+        let (dir, store) = tmp_store("spill_race");
+        let cache = PoolCache::with_store(2, Arc::clone(&store), true, false);
+        let k = true_key(&g, 1.0);
+        let engine = cache.get_or_load(&k, |p| restore(&g, p), || cheap_engine(&g, 1.0));
+        assert_eq!(cache.stats().spills, 1, "write-through at build");
+
+        // A `spill_dirty` racing the build read this slot as never spilled
+        // (before the write-through recorded its epoch), then queued on
+        // the spill lock. Replay what it does once the lock frees up:
+        // spill the entry it read as dirty.
+        let entry = Arc::clone(&cache.inner.lock().unwrap().entries[&k].entry);
+        assert!(!cache.spill_entry(&k, &entry, &engine));
+        assert_eq!(cache.stats().spills, 1, "one write of one pool epoch");
+
+        // Growth re-dirties the pool, and the same call writes it.
+        engine.select_with(2, Some(0.3), None);
+        assert!(cache.spill_entry(&k, &entry, &engine));
+        assert_eq!(cache.stats().spills, 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 
