@@ -4,7 +4,9 @@
 //! `graph_load` bin), `tim-bench-select/1` (`BENCH_8.json`, the
 //! original `select_scaling` shape), `tim-bench-select/2`
 //! (`BENCH_9.json`, the per-strategy shape with `evals_per_round` work
-//! counters and the lazy-vs-eager evaluation-ratio bar), or
+//! counters and the lazy-vs-eager evaluation-ratio bar),
+//! `tim-bench-select/3` (`BENCH_13.json`, one sharded block per thread
+//! count and the evaluations-vs-node-scan bar), or
 //! `tim-bench-pool-load/1` (`BENCH_10.json`, the `pool_load` bin: v1
 //! heap restore vs v2 mmap open of spilled RR-set pools).
 //!
@@ -302,7 +304,8 @@ fn check_select(doc: &Value, path: &str, schema: &str) {
     println!("{path}: ok ({schema}, {} thread counts)", threads.len());
 }
 
-/// Shared by both strategy blocks of a `tim-bench-select/2` entry.
+/// Shared by both strategy blocks of a `tim-bench-select/2` entry and the
+/// one block of a `/3` entry.
 fn check_strategy_block(entry: &Value, what: &str) -> f64 {
     if require_f64(entry, "select_ms", what) <= 0.0 {
         fail(&format!("{what}: 'select_ms' must be positive"));
@@ -330,13 +333,10 @@ fn check_strategy_block(entry: &Value, what: &str) -> f64 {
     epr
 }
 
-/// `tim-bench-select/2`: the per-strategy shape. Beyond the v1 checks,
-/// every thread count carries an `eager` and a `lazy` block with work
-/// counters, and full-mode reports must meet the lazy acceptance bar:
-/// ≥ 5× fewer candidate evaluations per round wherever real sharding
-/// happens (t ≥ 2 — t = 1 delegates to the serial solver under either
-/// strategy, so its ratio is 1).
-fn check_select_v2(doc: &Value, path: &str, schema: &str) {
+/// The fields `tim-bench-select/2` and `/3` share — `quick`, `graph`,
+/// `theta`, `k`, and the `serial` block — checked once. Returns `quick`,
+/// `graph.nodes`, and the `threads` array.
+fn check_select_header(doc: &Value) -> (bool, f64, &[Value]) {
     let quick = doc
         .get("quick")
         .and_then(Value::as_bool)
@@ -373,13 +373,27 @@ fn check_select_v2(doc: &Value, path: &str, schema: &str) {
         .get("threads")
         .and_then(Value::as_arr)
         .unwrap_or_else(|| fail("missing 'threads' array"));
+    (quick, require_f64(graph, "nodes", "graph"), threads)
+}
+
+/// The `threads` entry measuring `want` worker threads.
+fn thread_entry(threads: &[Value], want: f64) -> &Value {
+    threads
+        .iter()
+        .find(|t| t.get("threads").and_then(Value::as_f64) == Some(want))
+        .unwrap_or_else(|| fail(&format!("missing measurement for threads={want}")))
+}
+
+/// `tim-bench-select/2`: the per-strategy shape. Beyond the v1 checks,
+/// every thread count carries an `eager` and a `lazy` block with work
+/// counters, and full-mode reports must meet the lazy acceptance bar:
+/// ≥ 5× fewer candidate evaluations per round wherever real sharding
+/// happens (t ≥ 2 — t = 1 delegates to the serial solver under either
+/// strategy, so its ratio is 1).
+fn check_select_v2(doc: &Value, path: &str, schema: &str) {
+    let (quick, _, threads) = check_select_header(doc);
     for want in [1.0, 2.0, 4.0, 8.0] {
-        let Some(entry) = threads
-            .iter()
-            .find(|t| t.get("threads").and_then(Value::as_f64) == Some(want))
-        else {
-            fail(&format!("missing measurement for threads={want}"));
-        };
+        let entry = thread_entry(threads, want);
         let eager = entry
             .get("eager")
             .unwrap_or_else(|| fail(&format!("threads={want}: missing 'eager' block")));
@@ -408,6 +422,28 @@ fn check_select_v2(doc: &Value, path: &str, schema: &str) {
     println!("{path}: ok ({schema}, {} thread counts)", threads.len());
 }
 
+/// `tim-bench-select/3`: one sharded `lazy` block per thread count,
+/// with the v2 block checks. Full-mode reports must meet the acceptance
+/// bar: wherever real sharding happens (t ≥ 2) the workers evaluate ≥ 5×
+/// fewer candidates per round than a full node scan (`graph.nodes`).
+fn check_select_v3(doc: &Value, path: &str, schema: &str) {
+    let (quick, nodes, threads) = check_select_header(doc);
+    for want in [1.0, 2.0, 4.0, 8.0] {
+        let lazy = thread_entry(threads, want)
+            .get("lazy")
+            .unwrap_or_else(|| fail(&format!("threads={want}: missing 'lazy' block")));
+        let epr = check_strategy_block(lazy, &format!("threads={want} lazy"));
+        let ratio = nodes / epr;
+        if !quick && want >= 2.0 && ratio < 5.0 {
+            fail(&format!(
+                "threads={want}: the sharded solver evaluates only {ratio:.1}x fewer \
+                 candidates per round than a full node scan (need >= 5x at full scale)"
+            ));
+        }
+    }
+    println!("{path}: ok ({schema}, {} thread counts)", threads.len());
+}
+
 fn main() {
     let path = std::env::args()
         .nth(1)
@@ -429,6 +465,8 @@ fn main() {
         check_select(&doc, &path, &schema);
     } else if schema == "tim-bench-select/2" {
         check_select_v2(&doc, &path, &schema);
+    } else if schema == "tim-bench-select/3" {
+        check_select_v3(&doc, &path, &schema);
     } else if schema.starts_with("tim-bench-pool-load/") {
         check_pool_load(&doc, &path, &schema);
     } else {

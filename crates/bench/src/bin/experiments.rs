@@ -759,7 +759,6 @@ fn ablation(opts: &Opts) {
                 opts.seed ^ 0x77,
                 1,
                 1,
-                tim_core::SelectStrategy::Auto,
                 tim_core::GreedyImpl::LazyHeap,
             );
             let spread = est.estimate(&g, &sel.seeds);

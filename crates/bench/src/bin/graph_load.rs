@@ -97,7 +97,6 @@ fn query<G: tim_graph::CsrAccess>(graph: &G, theta: u64) -> Vec<u32> {
         0xB7,
         1,
         1,
-        tim_core::SelectStrategy::Auto,
         GreedyImpl::LazyHeap,
     )
     .seeds

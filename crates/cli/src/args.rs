@@ -57,6 +57,24 @@ impl Args {
         Ok(args)
     }
 
+    /// Rejects every flag and switch whose name (without dashes) is not in
+    /// `known`, so a typo or a removed option is an error instead of being
+    /// silently ignored. With several unknown names the alphabetically
+    /// first is reported.
+    pub fn reject_unknown(&self, known: &[&str]) -> Result<(), String> {
+        let unknown = self
+            .flags
+            .keys()
+            .chain(&self.switches)
+            .filter(|name| !known.contains(&name.as_str()))
+            .min();
+        match unknown {
+            Some(name) if name.len() == 1 => Err(format!("unknown flag -{name}")),
+            Some(name) => Err(format!("unknown flag --{name}")),
+            None => Ok(()),
+        }
+    }
+
     /// True when the boolean switch was given.
     pub fn switch(&self, name: &str) -> bool {
         self.switches.iter().any(|s| s == name)
@@ -136,6 +154,22 @@ mod tests {
     fn missing_value_is_an_error() {
         assert!(Args::parse(&argv("x --eps")).is_err());
         assert!(Args::parse(&argv("x -k")).is_err());
+    }
+
+    #[test]
+    fn unknown_flags_and_switches_are_rejected() {
+        let known = ["k", "eps", "quiet"];
+        let a = Args::parse(&argv("g -k 5 --eps 0.1 --quiet")).unwrap();
+        assert!(a.reject_unknown(&known).is_ok());
+        // A misspelt value flag, a switch, and a short flag.
+        for (line, want) in [
+            ("g --epz 0.1", "unknown flag --epz"),
+            ("g --admin", "unknown flag --admin"),
+            ("g -x 1", "unknown flag -x"),
+        ] {
+            let a = Args::parse(&argv(line)).unwrap();
+            assert_eq!(a.reject_unknown(&known).unwrap_err(), want);
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ use tim_graph::io::LoadedGraph;
 use tim_graph::{analysis, io, snapshot, weights, Graph, NodeId};
 use tim_server::{
     CappedLine, CappedLineReader, GraphCatalog, LabelMap, Server, ServerConfig, ServerState,
-    DEFAULT_GRAPH_NAME, OVERSIZED_LINE_REPLY,
+    DEFAULT_GRAPH_NAME, NOT_UTF8_LINE_REPLY, OVERSIZED_LINE_REPLY,
 };
 
 /// Usage text printed on errors.
@@ -41,8 +41,7 @@ usage:
                [--default-graph <name>] [--max-loaded 8] [--pool <path.timp>]
                [--pool-dir <dir>] [--persist-pools] [--mmap-pools] [--admin] [--mmap]
                [-k <K=50>] [--model ic|lt] [--weights wc|...] [--eps 0.1] [--ell 1.0]
-               [--seed 0] [--pool-cache 4] [--select-threads 1]
-               [--select-strategy eager|lazy|auto] [--undirected] [--quiet]
+               [--seed 0] [--pool-cache 4] [--select-threads 1] [--undirected] [--quiet]
                (reads line-delimited tim/3 queries from stdin:
                   select <k> [fast] [eps=<v>] [ell=<v>]
                   eval <id,id,...>
@@ -56,8 +55,7 @@ usage:
                [--addr 127.0.0.1:7171] [--threads 4] [--pool-cache 4]
                [--event-loop] [--idle-timeout <secs>] [--max-conns <n>]
                [-k <K=50>] [--model ic|lt] [--weights wc|...] [--eps 0.1] [--ell 1.0]
-               [--seed 0] [--pool <path.timp>] [--select-threads 1]
-               [--select-strategy eager|lazy|auto] [--undirected] [--quiet]
+               [--seed 0] [--pool <path.timp>] [--select-threads 1] [--undirected] [--quiet]
                (serves the tim/3 query protocol over TCP; prints
                 `listening on <addr>` on stdout when bound — see docs/PROTOCOL.md;
                 --event-loop serves via epoll reactor shards instead of
@@ -76,15 +74,11 @@ usage:
   directory of .timg/.txt/.edges files (stems become names). A --graph
   spec may carry per-graph overrides after `::` (model=ic|lt, eps=, ell=,
   seed=, k=, weights=, mmap=true|false, mmap_pools=true|false,
-  select_threads=, select_strategy=), replacing the global defaults
-  for that graph.
+  select_threads=), replacing the global defaults for that graph.
   --select-threads shards each query's greedy selection phase across N
   worker threads (0 = all cores; default 1 = serial); answers are
   byte-identical at any thread count, so it only changes latency.
-  --select-strategy picks how those workers search: eager scans every
-  node each round, lazy keeps CELF-style per-worker heaps (auto, the
-  default, picks lazy). Strategy never changes answers either — only
-  the number of gain evaluations per round.
+  Every subcommand rejects flags it does not list above.
   With --pool-dir every graph keeps its RR-set pools in <dir>/<name>/
   (read on start — a warm restart skips the pool builds); --persist-pools
   additionally writes newly built or grown pools back automatically;
@@ -105,19 +99,74 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
     let (cmd, rest) = argv
         .split_first()
         .ok_or_else(|| "missing subcommand".to_string())?;
+    // Each subcommand with the flags it documents in USAGE (value flags
+    // and switches alike, without dashes); any other flag is an error.
+    type Run = fn(&Args) -> Result<(), String>;
+    let (run, flags): (Run, &[&[&str]]) = match cmd.as_str() {
+        "select" => (
+            select,
+            &[&[
+                "k",
+                "algo",
+                "model",
+                "weights",
+                "eps",
+                "ell",
+                "seed",
+                "runs",
+                "undirected",
+                "quiet",
+            ]],
+        ),
+        "evaluate" => (
+            evaluate,
+            &[&["seeds", "model", "weights", "runs", "seed", "undirected"]],
+        ),
+        "stats" => (stats, &[&["undirected"]]),
+        "generate" => (generate, &[&["out", "n", "param", "scale", "seed"]]),
+        "snapshot" => (
+            snapshot_cmd,
+            &[&["out", "format", "weights", "seed", "undirected"]],
+        ),
+        "query" => (query, &[SESSION_FLAGS]),
+        "serve" => (
+            serve,
+            &[
+                SESSION_FLAGS,
+                &["addr", "threads", "event-loop", "idle-timeout", "max-conns"],
+            ],
+        ),
+        "client" => (client, &[&["addr", "timeout"]]),
+        other => return Err(format!("unknown subcommand '{other}'")),
+    };
     let args = Args::parse(rest)?;
-    match cmd.as_str() {
-        "select" => select(&args),
-        "evaluate" => evaluate(&args),
-        "stats" => stats(&args),
-        "generate" => generate(&args),
-        "snapshot" => snapshot_cmd(&args),
-        "query" => query(&args),
-        "serve" => serve(&args),
-        "client" => client(&args),
-        other => Err(format!("unknown subcommand '{other}'")),
-    }
+    args.reject_unknown(&flags.concat())?;
+    run(&args)
 }
+
+/// The flags `query` and `serve` share.
+const SESSION_FLAGS: &[&str] = &[
+    "graph",
+    "graphs",
+    "default-graph",
+    "max-loaded",
+    "pool",
+    "pool-dir",
+    "persist-pools",
+    "mmap-pools",
+    "admin",
+    "mmap",
+    "k",
+    "model",
+    "weights",
+    "eps",
+    "ell",
+    "seed",
+    "pool-cache",
+    "select-threads",
+    "undirected",
+    "quiet",
+];
 
 /// Applies a `--weights` spec to a graph. `seed` perturbs the seeded
 /// models (lt/tri) exactly as `select`/`evaluate` always have. The spec
@@ -423,10 +472,6 @@ fn server_config(args: &Args, quiet: bool) -> Result<ServerConfig, String> {
         k_max: args.get_parsed("k", 50usize)?,
         sample_threads: 0,
         select_threads: args.get_parsed("select-threads", 1usize)?,
-        select_strategy: match args.get("select-strategy") {
-            None => tim_core::SelectStrategy::Auto,
-            Some(v) => v.parse().map_err(|e| format!("--select-strategy: {e}"))?,
-        },
         verbose: !quiet,
         // `--mmap` flips the weights default to "keep": a mapped graph
         // serves the probabilities baked into its v2 snapshot verbatim.
@@ -718,6 +763,11 @@ fn catalog_query_session<M: BackingModel + Send + Clone + 'static>(
                     .map_err(|e| format!("writing answer: {e}"))?;
                 return Ok(()); // same contract as TCP: error, session over
             }
+            CappedLine::NotUtf8 => {
+                writeln!(out, "{NOT_UTF8_LINE_REPLY}")
+                    .map_err(|e| format!("writing answer: {e}"))?;
+                return Ok(());
+            }
             CappedLine::Line => {
                 for answer in session.push_line(&line) {
                     writeln!(out, "{answer}").map_err(|e| format!("writing answer: {e}"))?;
@@ -1001,6 +1051,27 @@ mod tests {
     }
 
     #[test]
+    fn subcommands_reject_flags_they_do_not_document() {
+        // Rejected before any file is read, so the graph need not exist.
+        for (line, want) in [
+            // The removed selection-strategy option.
+            ("query g.txt --select-strategy lazy", "--select-strategy"),
+            ("serve g.txt --select-strategy eager", "--select-strategy"),
+            // A misspelt switch must not swallow the switch after it.
+            ("serve g.txt --persist-pool --admin", "--persist-pool"),
+            ("query g.txt --select-threds 4", "--select-threds"),
+            // Another subcommand's flags.
+            ("select g.txt -k 1 --admin", "--admin"),
+            ("query g.txt --addr 127.0.0.1:0", "--addr"),
+            ("stats g.txt --weights wc", "--weights"),
+            ("client --addr 127.0.0.1:1 -k 3", "-k"),
+        ] {
+            let err = dispatch(&argv(line)).unwrap_err();
+            assert_eq!(err, format!("unknown flag {want}"), "{line}");
+        }
+    }
+
+    #[test]
     fn generate_then_stats_then_select_round_trip() {
         let dir = tmpdir();
         let path = dir.join("ba.txt");
@@ -1223,6 +1294,13 @@ mod tests {
         assert_eq!(
             lines,
             vec!["pong tim/3".to_string(), OVERSIZED_LINE_REPLY.to_string()]
+        );
+        // A line that is not UTF-8 ends the session the same way.
+        let mut out = Vec::new();
+        catalog_query_session(&state, &b"ping\nselect \xff1\nping\n"[..], &mut out).unwrap();
+        assert_eq!(
+            String::from_utf8(out).unwrap(),
+            format!("pong tim/3\n{NOT_UTF8_LINE_REPLY}\n")
         );
         // A line of exactly the cap still answers.
         let comment = format!("#{}", "c".repeat((1 << 20) - 1));

@@ -26,7 +26,7 @@ use crate::math::ln_choose;
 use crate::select::run_greedy;
 use crate::tim::{GreedyImpl, PhaseTimings};
 use std::time::Instant;
-use tim_coverage::{CoverResult, SelectStrategy, SetCollection};
+use tim_coverage::{CoverResult, SetCollection};
 use tim_diffusion::{DiffusionModel, RrSampler};
 use tim_graph::{Graph, NodeId};
 use tim_rng::Rng;
@@ -61,7 +61,6 @@ pub struct Imm<M> {
     ell: f64,
     seed: u64,
     select_threads: usize,
-    select_strategy: SelectStrategy,
     greedy: GreedyImpl,
 }
 
@@ -74,7 +73,6 @@ impl<M: DiffusionModel + Sync> Imm<M> {
             ell: 1.0,
             seed: 0,
             select_threads: 1,
-            select_strategy: SelectStrategy::Auto,
             greedy: GreedyImpl::LazyHeap,
         }
     }
@@ -110,14 +108,6 @@ impl<M: DiffusionModel + Sync> Imm<M> {
         self
     }
 
-    /// How sharded selection workers find each round's argmax (default
-    /// [`SelectStrategy::Auto`] = lazy). Never changes the answer.
-    #[must_use]
-    pub fn select_strategy(mut self, strategy: SelectStrategy) -> Self {
-        self.select_strategy = strategy;
-        self
-    }
-
     /// Chooses the greedy max-coverage implementation.
     #[must_use]
     pub fn greedy(mut self, greedy: GreedyImpl) -> Self {
@@ -126,13 +116,7 @@ impl<M: DiffusionModel + Sync> Imm<M> {
     }
 
     fn cover(&self, collection: &mut SetCollection, k: usize) -> CoverResult {
-        run_greedy(
-            collection,
-            k,
-            self.greedy,
-            self.select_threads,
-            self.select_strategy,
-        )
+        run_greedy(collection, k, self.greedy, self.select_threads)
     }
 
     /// Selects `k` seeds on `graph`.
@@ -322,19 +306,13 @@ mod tests {
         assert_eq!(a.theta, b.theta);
         assert_eq!(a.lb, b.lb);
         for select_threads in [2, 4, 0] {
-            for strategy in [SelectStrategy::Eager, SelectStrategy::Lazy] {
-                let c = Imm::new(IndependentCascade)
-                    .epsilon(0.6)
-                    .seed(12)
-                    .select_threads(select_threads)
-                    .select_strategy(strategy)
-                    .run(&g, 5);
-                assert_eq!(
-                    a.seeds, c.seeds,
-                    "select_threads={select_threads} {strategy}"
-                );
-                assert_eq!(a.lb, c.lb);
-            }
+            let c = Imm::new(IndependentCascade)
+                .epsilon(0.6)
+                .seed(12)
+                .select_threads(select_threads)
+                .run(&g, 5);
+            assert_eq!(a.seeds, c.seeds, "select_threads={select_threads}");
+            assert_eq!(a.lb, c.lb);
         }
     }
 

@@ -43,6 +43,3 @@ pub use imm::{Imm, ImmResult};
 pub use tim::{
     select_stream_seed, GreedyImpl, PhaseTimings, SamplingPlan, Tim, TimPlus, TimResult,
 };
-// Re-exported so downstream crates (engine, server, CLI) can name the
-// selection knobs without depending on tim_coverage directly.
-pub use tim_coverage::{EvalStats, SelectStrategy};

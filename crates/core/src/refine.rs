@@ -13,7 +13,6 @@ use crate::math::{epsilon_prime, lambda_prime};
 use crate::parallel::generate_rr_sets_per_edge;
 use crate::select::run_greedy;
 use crate::tim::GreedyImpl;
-use tim_coverage::SelectStrategy;
 use tim_diffusion::DiffusionModel;
 use tim_graph::CsrAccess;
 use tim_rng::{RandomSource, Rng};
@@ -48,7 +47,6 @@ pub fn refine_kpt<G: CsrAccess, M: DiffusionModel<G> + Sync>(
     rng: &mut Rng,
     threads: usize,
     select_threads: usize,
-    select_strategy: SelectStrategy,
     greedy: GreedyImpl,
 ) -> Refined {
     let n = graph.n() as u64;
@@ -56,13 +54,7 @@ pub fn refine_kpt<G: CsrAccess, M: DiffusionModel<G> + Sync>(
     assert!(eps_p > 0.0, "refine_kpt: epsilon_prime must be positive");
 
     // Lines 2-6: greedy cover on the last iteration's RR sets.
-    let cover = run_greedy(
-        &mut kpt.last_iteration_sets,
-        k,
-        greedy,
-        select_threads,
-        select_strategy,
-    );
+    let cover = run_greedy(&mut kpt.last_iteration_sets, k, greedy, select_threads);
     let candidate = cover.seeds;
 
     // Lines 7-9: θ' fresh RR sets.
@@ -112,7 +104,6 @@ mod tests {
             &mut rng,
             1,
             1,
-            SelectStrategy::Auto,
             GreedyImpl::LazyHeap,
         );
         assert!(refined.kpt_plus >= star);
@@ -138,7 +129,6 @@ mod tests {
             &mut rng,
             1,
             1,
-            SelectStrategy::Auto,
             GreedyImpl::LazyHeap,
         );
         assert!(
@@ -167,7 +157,6 @@ mod tests {
             &mut rng,
             1,
             1,
-            SelectStrategy::Auto,
             GreedyImpl::LazyHeap,
         );
         let sel = crate::select::node_selection(
@@ -178,7 +167,6 @@ mod tests {
             7,
             2,
             1,
-            SelectStrategy::Auto,
             GreedyImpl::LazyHeap,
         );
         let opt_proxy = SpreadEstimator::new(IndependentCascade)
@@ -208,7 +196,6 @@ mod tests {
             &mut rng,
             1,
             1,
-            SelectStrategy::Auto,
             GreedyImpl::LazyHeap,
         );
         assert_eq!(refined.epsilon_prime, 0.25);
@@ -231,7 +218,6 @@ mod tests {
                 &mut rng,
                 2,
                 2,
-                SelectStrategy::Auto,
                 GreedyImpl::LazyHeap,
             )
             .kpt_plus

@@ -7,10 +7,7 @@
 
 use crate::parallel::{generate_rr_sets, BulkStats};
 use crate::tim::GreedyImpl;
-use tim_coverage::{
-    greedy_max_cover, greedy_max_cover_bucket, greedy_max_cover_sharded_with, CoverResult,
-    SelectStrategy, SetCollection,
-};
+use tim_coverage::{greedy_max_cover_bucket, greedy_max_cover_sharded, CoverResult, SetCollection};
 use tim_diffusion::DiffusionModel;
 use tim_graph::{CsrAccess, NodeId};
 
@@ -30,21 +27,19 @@ pub fn resolve_select_threads(select_threads: usize) -> usize {
 
 /// Runs the configured greedy solver over `collection`, sharding the
 /// lazy-heap solver across [`resolve_select_threads`]`(select_threads)`
-/// workers finding their per-round argmax per `select_strategy`. Neither
-/// thread count nor strategy ever changes the result — the sharded solver
-/// is byte-identical to the serial one — so callers may tune both freely.
+/// workers (one worker runs the serial solver). The thread count never
+/// changes the result — the sharded solver is byte-identical to the
+/// serial one — so callers may tune it freely.
 pub(crate) fn run_greedy(
     collection: &mut SetCollection,
     k: usize,
     greedy: GreedyImpl,
     select_threads: usize,
-    select_strategy: SelectStrategy,
 ) -> CoverResult {
     match greedy {
-        GreedyImpl::LazyHeap => match resolve_select_threads(select_threads) {
-            0 | 1 => greedy_max_cover(collection, k),
-            t => greedy_max_cover_sharded_with(collection, k, t, select_strategy),
-        },
+        GreedyImpl::LazyHeap => {
+            greedy_max_cover_sharded(collection, k, resolve_select_threads(select_threads))
+        }
         GreedyImpl::BucketQueue => greedy_max_cover_bucket(collection, k),
     }
 }
@@ -69,9 +64,8 @@ pub struct Selection {
 
 /// Runs Algorithm 1: samples `theta` RR sets under `model` and greedily
 /// selects `k` nodes. `threads` drives sampling, `select_threads` the
-/// greedy phase ([`resolve_select_threads`]; 1 = serial, 0 = all cores)
-/// and `select_strategy` how its workers search (eager scan or lazy
-/// heap); none of the three ever changes the answer.
+/// greedy phase ([`resolve_select_threads`]; 1 = serial, 0 = all cores);
+/// neither ever changes the answer.
 #[allow(clippy::too_many_arguments)]
 pub fn node_selection<G: CsrAccess, M: DiffusionModel<G> + Sync>(
     graph: &G,
@@ -81,13 +75,11 @@ pub fn node_selection<G: CsrAccess, M: DiffusionModel<G> + Sync>(
     seed: u64,
     threads: usize,
     select_threads: usize,
-    select_strategy: SelectStrategy,
     greedy: GreedyImpl,
 ) -> Selection {
     let (mut collection, stats) = generate_rr_sets(graph, model, theta, seed, threads);
     let rr_memory_bytes = collection.memory_bytes();
-    let cover: CoverResult =
-        run_greedy(&mut collection, k, greedy, select_threads, select_strategy);
+    let cover: CoverResult = run_greedy(&mut collection, k, greedy, select_threads);
     let frac = cover.coverage_fraction(collection.len());
     Selection {
         estimated_spread: frac * graph.n() as f64,
@@ -117,7 +109,6 @@ mod tests {
             2,
             1,
             1,
-            SelectStrategy::Auto,
             GreedyImpl::LazyHeap,
         );
         assert_eq!(sel.seeds.len(), 10);
@@ -145,7 +136,6 @@ mod tests {
             3,
             1,
             1,
-            SelectStrategy::Auto,
             GreedyImpl::LazyHeap,
         );
         assert_eq!(sel.seeds, vec![0]);
@@ -165,7 +155,6 @@ mod tests {
             5,
             2,
             2,
-            SelectStrategy::Auto,
             GreedyImpl::LazyHeap,
         );
         let mc = SpreadEstimator::new(IndependentCascade)
@@ -193,7 +182,6 @@ mod tests {
             8,
             1,
             1,
-            SelectStrategy::Auto,
             GreedyImpl::LazyHeap,
         );
         let b = node_selection(
@@ -204,7 +192,6 @@ mod tests {
             8,
             1,
             1,
-            SelectStrategy::Auto,
             GreedyImpl::BucketQueue,
         );
         let rel = (a.coverage_fraction - b.coverage_fraction).abs() / a.coverage_fraction.max(1e-9);
@@ -228,7 +215,6 @@ mod tests {
             10,
             1,
             1,
-            SelectStrategy::Auto,
             GreedyImpl::LazyHeap,
         );
         // Both sampling and selection thread counts vary; the answer may
@@ -242,7 +228,6 @@ mod tests {
                 10,
                 threads,
                 select_threads,
-                SelectStrategy::Auto,
                 GreedyImpl::LazyHeap,
             );
             assert_eq!(a.seeds, b.seeds, "select_threads={select_threads}");

@@ -16,7 +16,6 @@ use crate::math::{adjusted_ell, lambda};
 use crate::refine::refine_kpt;
 use crate::select::node_selection;
 use std::time::{Duration, Instant};
-use tim_coverage::SelectStrategy;
 use tim_diffusion::DiffusionModel;
 use tim_graph::{CsrAccess, NodeId};
 use tim_rng::{RandomSource, Rng};
@@ -81,7 +80,6 @@ struct Config {
     seed: u64,
     threads: usize,
     select_threads: usize,
-    select_strategy: SelectStrategy,
     greedy: GreedyImpl,
     eps_prime_override: Option<f64>,
 }
@@ -94,7 +92,6 @@ impl Default for Config {
             seed: 0,
             threads: std::thread::available_parallelism().map_or(1, |p| p.get()),
             select_threads: 1,
-            select_strategy: SelectStrategy::Auto,
             greedy: GreedyImpl::LazyHeap,
             eps_prime_override: None,
         }
@@ -143,16 +140,6 @@ macro_rules! builder_methods {
         #[must_use]
         pub fn select_threads(mut self, select_threads: usize) -> Self {
             self.cfg.select_threads = select_threads;
-            self
-        }
-
-        /// How sharded selection workers find each round's argmax
-        /// (default [`SelectStrategy::Auto`], which picks the lazy
-        /// CELF-style heap). Like `select_threads`, the strategy never
-        /// changes the answer — only how much work finding it takes.
-        #[must_use]
-        pub fn select_strategy(mut self, strategy: SelectStrategy) -> Self {
-            self.cfg.select_strategy = strategy;
             self
         }
 
@@ -375,7 +362,6 @@ fn plan_impl<G: CsrAccess, M: DiffusionModel<G> + Sync>(
             &mut refine_rng,
             cfg.threads,
             cfg.select_threads,
-            cfg.select_strategy,
             cfg.greedy,
         );
         phases.refinement = t1.elapsed();
@@ -426,7 +412,6 @@ fn run_impl<G: CsrAccess, M: DiffusionModel<G> + Sync>(
         plan.select_seed,
         cfg.threads,
         cfg.select_threads,
-        cfg.select_strategy,
         cfg.greedy,
     );
     phases.node_selection = t2.elapsed();
@@ -551,27 +536,16 @@ mod tests {
         assert_eq!(a.seeds, b.seeds);
         assert_eq!(a.theta, b.theta);
         assert_eq!(a.estimated_spread, b.estimated_spread);
-        // The greedy phase shards deterministically too (0 = all cores),
-        // whatever strategy the workers use to find their argmax.
+        // The greedy phase shards deterministically too (0 = all cores).
         for select_threads in [2, 4, 0] {
-            for strategy in [
-                SelectStrategy::Eager,
-                SelectStrategy::Lazy,
-                SelectStrategy::Auto,
-            ] {
-                let c = TimPlus::new(IndependentCascade)
-                    .epsilon(0.8)
-                    .seed(12)
-                    .threads(2)
-                    .select_threads(select_threads)
-                    .select_strategy(strategy)
-                    .run(&g, 5);
-                assert_eq!(
-                    a.seeds, c.seeds,
-                    "select_threads={select_threads} {strategy}"
-                );
-                assert_eq!(a.estimated_spread, c.estimated_spread);
-            }
+            let c = TimPlus::new(IndependentCascade)
+                .epsilon(0.8)
+                .seed(12)
+                .threads(2)
+                .select_threads(select_threads)
+                .run(&g, 5);
+            assert_eq!(a.seeds, c.seeds, "select_threads={select_threads}");
+            assert_eq!(a.estimated_spread, c.estimated_spread);
         }
     }
 

@@ -14,7 +14,6 @@
 //! - [`greedy_max_cover_bucket`]: bucket queue indexed by count, giving the
 //!   O(Σ|R|) linear-time bound quoted in §3.1.
 
-use crate::strategy::EvalStats;
 use crate::{SetCollection, SetsAccess};
 use std::collections::BinaryHeap;
 use tim_graph::NodeId;
@@ -38,6 +37,49 @@ impl CoverResult {
         } else {
             self.covered as f64 / total_sets as f64
         }
+    }
+}
+
+/// Work counters for one greedy max-coverage run.
+///
+/// The counters measure *algorithmic* work, not wall-clock: `evals` is
+/// the number of candidate nodes whose current gain was inspected while
+/// searching for an argmax (the serial CELF heap and the sharded solver's
+/// per-worker heaps keep this near O(1) per round, where a full node scan
+/// would pay `n`), `repushes` counts stale heap entries refiled at their
+/// current gain, and `dirty` counts the distinct nodes per worker slice
+/// whose gain the apply phase changed (the invalidation traffic the
+/// sharded solver pays instead of rescanning).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EvalStats {
+    /// Greedy rounds run (selected seeds plus padding rounds).
+    pub rounds: usize,
+    /// Candidate gain evaluations across all rounds and workers.
+    pub evals: usize,
+    /// Stale lazy-heap entries re-pushed at their current gain.
+    pub repushes: usize,
+    /// Gain-invalidation events: distinct dirty nodes per worker slice,
+    /// summed over rounds (0 for solvers that do not track dirt).
+    pub dirty: usize,
+}
+
+impl EvalStats {
+    /// Mean candidate evaluations per greedy round (0 when no rounds ran).
+    pub fn evals_per_round(&self) -> f64 {
+        if self.rounds == 0 {
+            0.0
+        } else {
+            self.evals as f64 / self.rounds as f64
+        }
+    }
+
+    /// Accumulates another worker's counters into this one. `rounds` is
+    /// taken as the max, not the sum — workers run the same rounds.
+    pub fn absorb(&mut self, other: &EvalStats) {
+        self.rounds = self.rounds.max(other.rounds);
+        self.evals += other.evals;
+        self.repushes += other.repushes;
+        self.dirty += other.dirty;
     }
 }
 
@@ -451,6 +493,34 @@ mod tests {
         let (r, s) = greedy_max_cover_indexed_stats(&tiny, 4);
         assert_eq!(r.seeds.len(), 4);
         assert_eq!(s.rounds, 4);
+    }
+
+    #[test]
+    fn stats_absorb_sums_work_and_maxes_rounds() {
+        let mut a = EvalStats {
+            rounds: 5,
+            evals: 10,
+            repushes: 2,
+            dirty: 7,
+        };
+        let b = EvalStats {
+            rounds: 5,
+            evals: 4,
+            repushes: 1,
+            dirty: 3,
+        };
+        a.absorb(&b);
+        assert_eq!(
+            a,
+            EvalStats {
+                rounds: 5,
+                evals: 14,
+                repushes: 3,
+                dirty: 10,
+            }
+        );
+        assert_eq!(a.evals_per_round(), 14.0 / 5.0);
+        assert_eq!(EvalStats::default().evals_per_round(), 0.0);
     }
 
     #[test]

@@ -17,11 +17,9 @@
 //!   bound of \[3\]'s Step 2.
 //! - [`greedy_max_cover_sharded`] — the lazy-heap contract parallelized
 //!   across worker threads (see [`sharded`]), **byte-identical** to
-//!   [`greedy_max_cover_indexed`] at any thread count. A
-//!   [`SelectStrategy`] knob picks how each worker finds its local argmax
-//!   — an eager full-range scan or a CELF-style lazy heap with dirty-node
-//!   invalidation — without changing a single answer byte; [`EvalStats`]
-//!   counts the algorithmic work either way.
+//!   [`greedy_max_cover_indexed`] at any thread count. Each worker finds
+//!   its local argmax with a CELF-style lazy heap and dirty-node
+//!   invalidation; [`EvalStats`] counts the algorithmic work.
 //!
 //! The heap and bucket solvers return identical coverage values
 //! (tie-breaking may differ); the criterion bench `max_cover` compares
@@ -46,18 +44,15 @@ mod greedy;
 mod mmap_sets;
 pub mod sharded;
 mod store;
-mod strategy;
 
 pub use collection::{build_inverted_index, count_covered_indexed, SetCollection, SetsAccess};
 pub use greedy::{
     greedy_max_cover, greedy_max_cover_bucket, greedy_max_cover_bucket_indexed,
-    greedy_max_cover_indexed, greedy_max_cover_indexed_stats, CoverResult,
+    greedy_max_cover_indexed, greedy_max_cover_indexed_stats, CoverResult, EvalStats,
 };
 pub use mmap_sets::{MmapSets, MmapSetsLayout, SETS_SECTION_COUNT, SETS_SECTION_NAMES};
 pub use sharded::{
     greedy_max_cover_sharded, greedy_max_cover_sharded_indexed,
-    greedy_max_cover_sharded_indexed_stats, greedy_max_cover_sharded_indexed_with,
-    greedy_max_cover_sharded_with,
+    greedy_max_cover_sharded_indexed_stats,
 };
 pub use store::{SetsStore, SetsView};
-pub use strategy::{EvalStats, SelectStrategy};

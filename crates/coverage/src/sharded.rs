@@ -22,33 +22,26 @@
 //!    ([`shard_prefix_ranges`]) — marking newly covered sets and
 //!    decrementing member gains atomically.
 //!
-//! *How* a worker finds its local argmax is the [`SelectStrategy`] knob:
+//! Each worker finds its local argmax with a CELF-style max-heap of
+//! `(cached_gain, node)` over its range. Coverage gain is submodular
+//! (gains only ever decrease), so a cached entry is an upper bound on the
+//! node's current gain and a popped entry whose cached value is still
+//! current is *exactly* the range argmax — the same staleness trick the
+//! serial solver plays. Between rounds workers exchange **dirty-node
+//! lists** — the only gains that change are members of sets newly covered
+//! by the last pick, computed for free during the apply phase's
+//! posting-list walk — so a worker whose cached vote's node is untouched
+//! re-publishes it without touching its heap at all.
 //!
-//! - **Eager** scans the full node range every round — O(n/threads) gain
-//!   loads per worker per round, no state between rounds.
-//! - **Lazy** keeps a CELF-style max-heap of `(cached_gain, node)` per
-//!   worker. Coverage gain is submodular (gains only ever decrease), so a
-//!   cached entry is an upper bound on the node's current gain and a
-//!   popped entry whose cached value is still current is *exactly* the
-//!   range argmax — the same staleness trick the serial solver plays.
-//!   Between rounds workers exchange **dirty-node lists** — the only
-//!   gains that change are members of sets newly covered by the last
-//!   pick, computed for free during the apply phase's posting-list walk —
-//!   so a worker whose cached vote's node is untouched re-publishes it
-//!   without touching its heap at all.
-//!
-//! Either way the vote values are identical, so the merged pick — and
-//! with it seeds, marginals, and covered counts — cannot depend on the
-//! strategy. Determinism survives sharding because both halves of the
-//! round are order-free: the merged argmax is a pure reduction over the
+//! Determinism survives sharding because both halves of the round are
+//! order-free: the merged argmax is a pure reduction over the
 //! votes, and the gain updates are sums of decrements (commutative,
 //! applied through atomics), so at the barrier between rounds every
 //! worker observes exactly the gains the serial solver would hold. The
 //! partition affects only *which worker* does the arithmetic, never its
 //! result.
 
-use crate::greedy::{greedy_max_cover_indexed_stats, CoverResult};
-use crate::strategy::{EvalStats, SelectStrategy};
+use crate::greedy::{greedy_max_cover_indexed_stats, CoverResult, EvalStats};
 use crate::{SetCollection, SetsAccess};
 use std::collections::BinaryHeap;
 use std::ops::Range;
@@ -136,11 +129,11 @@ pub fn sets_in_range<'a, C: SetsAccess>(
 
 /// One worker's slice of the apply phase: covers `node`'s still-uncovered
 /// sets within `sets` (a `covered[set_id - sets.start]` bitmap slice) and
-/// decrements every member's gain atomically. When `dirty` is given it is
-/// reset to the slice's **dirty nodes** — the distinct members whose gain
-/// this call changed, sorted ascending — which is the invalidation set
-/// the lazy strategy ships between workers: a node outside it cannot have
-/// changed gain this round. Returns the newly covered count.
+/// decrements every member's gain atomically. `dirty` is reset to the
+/// slice's **dirty nodes** — the distinct members whose gain this call
+/// changed, sorted ascending — which is the invalidation set the workers
+/// ship to each other: a node outside it cannot have changed gain this
+/// round. Returns the newly covered count.
 ///
 /// # Panics
 /// Panics if the collection's inverted index is stale.
@@ -150,11 +143,9 @@ pub fn apply_pick_in_range<C: SetsAccess>(
     sets: &Range<usize>,
     covered: &mut [bool],
     gain: &[AtomicUsize],
-    mut dirty: Option<&mut Vec<NodeId>>,
+    dirty: &mut Vec<NodeId>,
 ) -> usize {
-    if let Some(d) = dirty.as_deref_mut() {
-        d.clear();
-    }
+    dirty.clear();
     let mut newly = 0usize;
     for &set_id in sets_in_range(collection, node, sets) {
         let s = set_id as usize;
@@ -163,16 +154,12 @@ pub fn apply_pick_in_range<C: SetsAccess>(
             newly += 1;
             for &u in collection.set(s) {
                 gain[u as usize].fetch_sub(1, Relaxed);
-                if let Some(d) = dirty.as_deref_mut() {
-                    d.push(u);
-                }
+                dirty.push(u);
             }
         }
     }
-    if let Some(d) = dirty {
-        d.sort_unstable();
-        d.dedup();
-    }
+    dirty.sort_unstable();
+    dirty.dedup();
     newly
 }
 
@@ -239,32 +226,20 @@ struct WorkerSlot {
 
 /// [`greedy_max_cover_sharded_indexed`] over a `&mut` collection,
 /// building the inverted index first (the exact analogue of
-/// [`greedy_max_cover`](crate::greedy_max_cover)). Runs the **eager**
-/// strategy; see [`greedy_max_cover_sharded_with`] for the knob.
+/// [`greedy_max_cover`](crate::greedy_max_cover)).
 pub fn greedy_max_cover_sharded(
     collection: &mut SetCollection,
     k: usize,
     threads: usize,
 ) -> CoverResult {
-    greedy_max_cover_sharded_with(collection, k, threads, SelectStrategy::Eager)
-}
-
-/// [`greedy_max_cover_sharded_indexed_with`] over a `&mut` collection,
-/// building the inverted index first.
-pub fn greedy_max_cover_sharded_with(
-    collection: &mut SetCollection,
-    k: usize,
-    threads: usize,
-    strategy: SelectStrategy,
-) -> CoverResult {
     collection.ensure_inverted_index();
-    greedy_max_cover_sharded_indexed_with(collection, k, threads, strategy)
+    greedy_max_cover_sharded_indexed(collection, k, threads)
 }
 
 /// Sharded greedy max-coverage over a shared collection with a built
-/// inverted index, using the **eager** full-scan strategy (PR 8's
-/// original solver). Byte-identical to [`greedy_max_cover_indexed`](crate::greedy_max_cover_indexed) —
-/// seeds, marginals, and covered count — at **any** `threads` value;
+/// inverted index. Byte-identical to
+/// [`greedy_max_cover_indexed`](crate::greedy_max_cover_indexed) — seeds,
+/// marginals, and covered count — at **any** `threads` value;
 /// `threads <= 1` runs the serial solver directly.
 ///
 /// # Panics
@@ -275,26 +250,10 @@ pub fn greedy_max_cover_sharded_indexed<C: SetsAccess>(
     k: usize,
     threads: usize,
 ) -> CoverResult {
-    greedy_max_cover_sharded_indexed_with(collection, k, threads, SelectStrategy::Eager)
+    greedy_max_cover_sharded_indexed_stats(collection, k, threads).0
 }
 
-/// Sharded greedy max-coverage with an explicit [`SelectStrategy`].
-/// Strategy and thread count may only ever change latency — the result
-/// stays byte-identical to [`greedy_max_cover_indexed`](crate::greedy_max_cover_indexed).
-///
-/// # Panics
-/// Panics if the inverted index is stale
-/// ([`SetsAccess::has_inverted_index`] is false).
-pub fn greedy_max_cover_sharded_indexed_with<C: SetsAccess>(
-    collection: &C,
-    k: usize,
-    threads: usize,
-    strategy: SelectStrategy,
-) -> CoverResult {
-    greedy_max_cover_sharded_indexed_stats(collection, k, threads, strategy).0
-}
-
-/// [`greedy_max_cover_sharded_indexed_with`] plus the run's [`EvalStats`]
+/// [`greedy_max_cover_sharded_indexed`] plus the run's [`EvalStats`]
 /// (candidate evaluations, heap re-pushes, and dirty-set sizes summed
 /// over workers). `threads <= 1` and `k == 0` delegate to the serial
 /// instrumented solver, so the stats stay comparable across the whole
@@ -307,7 +266,6 @@ pub fn greedy_max_cover_sharded_indexed_stats<C: SetsAccess>(
     collection: &C,
     k: usize,
     threads: usize,
-    strategy: SelectStrategy,
 ) -> (CoverResult, EvalStats) {
     assert!(
         collection.has_inverted_index(),
@@ -320,7 +278,6 @@ pub fn greedy_max_cover_sharded_indexed_stats<C: SetsAccess>(
     if threads == 1 || k == 0 {
         return greedy_max_cover_indexed_stats(collection, k);
     }
-    let lazy = strategy.is_lazy();
 
     let node_ranges = shard_prefix_ranges(n, threads);
     let set_ranges = worker_set_ranges(collection.len(), threads);
@@ -364,109 +321,84 @@ pub fn greedy_max_cover_sharded_indexed_stats<C: SetsAccess>(
         let mut stats = EvalStats::default();
         let mut recorder = result;
 
-        // Lazy-strategy state: the CELF heap over this worker's range,
-        // the vote carried from the previous round (`None` = not yet
-        // computed, `Some(None)` = no positive-gain candidate — reusable
-        // forever, since gains never increase), the monotone padding
-        // cursor, and reusable dirty buffers.
-        let mut heap: BinaryHeap<(usize, NodeId)> = if lazy {
-            nodes
-                .clone()
-                .filter(|&v| collection.degree(v as NodeId) > 0)
-                .map(|v| (collection.degree(v as NodeId), v as NodeId))
-                .collect()
-        } else {
-            BinaryHeap::new()
-        };
+        // The CELF heap over this worker's range, the vote carried from
+        // the previous round (`None` = not yet computed, `Some(None)` = no
+        // positive-gain candidate — reusable forever, since gains never
+        // increase), the monotone padding cursor, and reusable dirty
+        // buffers.
+        let mut heap: BinaryHeap<(usize, NodeId)> = nodes
+            .clone()
+            .filter(|&v| collection.degree(v as NodeId) > 0)
+            .map(|v| (collection.degree(v as NodeId), v as NodeId))
+            .collect();
         let mut cached: Option<Option<(usize, NodeId)>> = None;
         let mut pad_cursor = nodes.start;
         let mut dirty_local: Vec<NodeId> = Vec::new();
-        let mut outbox: Vec<Vec<NodeId>> = vec![Vec::new(); if lazy { threads } else { 0 }];
+        let mut outbox: Vec<Vec<NodeId>> = vec![Vec::new(); threads];
 
         for _round in 0..k {
             // Vote phase: local argmax and local padding candidate.
-            let (best, min_unselected) = if lazy {
-                // Drain incoming dirt from the previous apply phase. The
-                // cached vote survives only if its node's gain is
-                // untouched (gains elsewhere in the range can only have
-                // decreased, so they cannot overtake it).
-                let mut cached_node_dirty = false;
-                for p in 0..threads {
-                    let mut cell = dirty[p * threads + t].lock().unwrap();
-                    // A cell holds one producer's single sorted append
-                    // per round (drained here before the next), so a
-                    // binary search suffices.
-                    if let Some(Some((_, v))) = cached {
-                        if cell.binary_search(&v).is_ok() {
-                            cached_node_dirty = true;
-                        }
+            // First drain incoming dirt from the previous apply phase.
+            // The cached vote survives only if its node's gain is
+            // untouched (gains elsewhere in the range can only have
+            // decreased, so they cannot overtake it).
+            let mut cached_node_dirty = false;
+            for p in 0..threads {
+                let mut cell = dirty[p * threads + t].lock().unwrap();
+                // A cell holds one producer's single sorted append
+                // per round (drained here before the next), so a
+                // binary search suffices.
+                if let Some(Some((_, v))) = cached {
+                    if cell.binary_search(&v).is_ok() {
+                        cached_node_dirty = true;
                     }
-                    cell.clear();
                 }
-                let reusable = match cached {
-                    Some(Some((_, v))) => !cached_node_dirty && !selected[v as usize - nodes.start],
-                    Some(None) => true,
-                    None => false,
-                };
-                let best = if reusable {
-                    cached.unwrap()
-                } else {
-                    // CELF lazy pops: a popped entry whose cached gain is
-                    // still current is the exact range argmax, because
-                    // every other entry's cached gain is an upper bound
-                    // on its current gain (submodularity).
-                    let found = loop {
-                        match heap.pop() {
-                            Some((stored, v)) => {
-                                if selected[v as usize - nodes.start] {
-                                    continue;
-                                }
-                                stats.evals += 1;
-                                let current = gain[v as usize].load(Relaxed);
-                                if stored == current {
-                                    // Fresh: keep the entry for later
-                                    // rounds and vote with it.
-                                    heap.push((current, v));
-                                    break Some((current, v));
-                                }
-                                if current > 0 {
-                                    heap.push((current, v));
-                                    stats.repushes += 1;
-                                }
-                            }
-                            None => break None,
-                        }
-                    };
-                    cached = Some(found);
-                    found
-                };
-                while pad_cursor < nodes.end && selected[pad_cursor - nodes.start] {
-                    pad_cursor += 1;
-                }
-                let min = if pad_cursor < nodes.end {
-                    pad_cursor as NodeId
-                } else {
-                    u32::MAX
-                };
-                (best, min)
+                cell.clear();
+            }
+            let reusable = match cached {
+                Some(Some((_, v))) => !cached_node_dirty && !selected[v as usize - nodes.start],
+                Some(None) => true,
+                None => false,
+            };
+            let best = if reusable {
+                cached.unwrap()
             } else {
-                let mut best: Option<(usize, NodeId)> = None;
-                let mut min_unselected = u32::MAX;
-                for v in nodes.clone() {
-                    if selected[v - nodes.start] {
-                        continue;
+                // CELF lazy pops: a popped entry whose cached gain is
+                // still current is the exact range argmax, because
+                // every other entry's cached gain is an upper bound
+                // on its current gain (submodularity).
+                let found = loop {
+                    match heap.pop() {
+                        Some((stored, v)) => {
+                            if selected[v as usize - nodes.start] {
+                                continue;
+                            }
+                            stats.evals += 1;
+                            let current = gain[v as usize].load(Relaxed);
+                            if stored == current {
+                                // Fresh: keep the entry for later
+                                // rounds and vote with it.
+                                heap.push((current, v));
+                                break Some((current, v));
+                            }
+                            if current > 0 {
+                                heap.push((current, v));
+                                stats.repushes += 1;
+                            }
+                        }
+                        None => break None,
                     }
-                    let v = v as NodeId;
-                    if min_unselected == u32::MAX {
-                        min_unselected = v;
-                    }
-                    stats.evals += 1;
-                    let g = gain[v as usize].load(Relaxed);
-                    if g > 0 && best.is_none_or(|b| (g, v) > b) {
-                        best = Some((g, v));
-                    }
-                }
-                (best, min_unselected)
+                };
+                cached = Some(found);
+                found
+            };
+            while pad_cursor < nodes.end && selected[pad_cursor - nodes.start] {
+                pad_cursor += 1;
+            }
+            let min_unselected = if pad_cursor < nodes.end {
+                pad_cursor as NodeId
+            } else {
+                u32::MAX
             };
             let slot = &slots[t];
             let (bg, bv) = best.unwrap_or((0, u32::MAX));
@@ -492,8 +424,8 @@ pub fn greedy_max_cover_sharded_indexed_stats<C: SetsAccess>(
 
             // Apply phase: mark the pick selected in its owner's range,
             // and cover the chosen node's sets within this worker's
-            // set-id slice, decrementing member gains atomically. Lazy
-            // workers also route each dirty node to its owner's mailbox.
+            // set-id slice, decrementing member gains atomically, and
+            // route each dirty node to its owner's mailbox.
             let chosen = match pick {
                 RoundPick::Select { node, .. } => {
                     let newly = apply_pick_in_range(
@@ -502,18 +434,16 @@ pub fn greedy_max_cover_sharded_indexed_stats<C: SetsAccess>(
                         &sets,
                         &mut covered,
                         &gain,
-                        lazy.then_some(&mut dirty_local),
+                        &mut dirty_local,
                     );
                     slot.newly.store(newly, Relaxed);
-                    if lazy {
-                        stats.dirty += dirty_local.len();
-                        for &u in &dirty_local {
-                            outbox[node_owner(per, extra, u as usize)].push(u);
-                        }
-                        for (c, buf) in outbox.iter_mut().enumerate() {
-                            if !buf.is_empty() {
-                                dirty[t * threads + c].lock().unwrap().append(buf);
-                            }
+                    stats.dirty += dirty_local.len();
+                    for &u in &dirty_local {
+                        outbox[node_owner(per, extra, u as usize)].push(u);
+                    }
+                    for (c, buf) in outbox.iter_mut().enumerate() {
+                        if !buf.is_empty() {
+                            dirty[t * threads + c].lock().unwrap().append(buf);
                         }
                     }
                     node
@@ -589,12 +519,6 @@ mod tests {
         }
         c
     }
-
-    const STRATEGIES: [SelectStrategy; 3] = [
-        SelectStrategy::Eager,
-        SelectStrategy::Lazy,
-        SelectStrategy::Auto,
-    ];
 
     #[test]
     fn shard_prefix_ranges_are_balanced_and_cover() {
@@ -678,7 +602,7 @@ mod tests {
         // Pre-cover set 1 so node 0 must stay clean.
         covered[1] = true;
         let mut dirty = vec![99u32]; // stale content must be cleared
-        let newly = apply_pick_in_range(&c, 1, &(0..5), &mut covered, &gain, Some(&mut dirty));
+        let newly = apply_pick_in_range(&c, 1, &(0..5), &mut covered, &gain, &mut dirty);
         assert_eq!(newly, 3, "sets 0, 2, 4 newly covered");
         assert_eq!(dirty, vec![1, 2], "members of newly covered sets only");
         for v in 0..3u32 {
@@ -734,10 +658,8 @@ mod tests {
             let mut c = collection(sets, n);
             let want = greedy_max_cover(&mut c, k);
             for threads in [1, 2, 3, 4, 8, 64, 100] {
-                for strategy in STRATEGIES {
-                    let got = greedy_max_cover_sharded_indexed_with(&c, k, threads, strategy);
-                    assert_eq!(got, want, "threads={threads} {strategy} n={n} k={k}");
-                }
+                let got = greedy_max_cover_sharded_indexed(&c, k, threads);
+                assert_eq!(got, want, "threads={threads} n={n} k={k}");
             }
         }
     }
@@ -752,34 +674,30 @@ mod tests {
             let k = 1 + rng.next_index(n);
             let want = greedy_max_cover(&mut c, k);
             for threads in [2, 3, 4, 7, 8] {
-                for strategy in STRATEGIES {
-                    let got = greedy_max_cover_sharded_indexed_with(&c, k, threads, strategy);
-                    assert_eq!(got, want, "trial={trial} threads={threads} {strategy}");
-                }
+                let got = greedy_max_cover_sharded_indexed(&c, k, threads);
+                assert_eq!(got, want, "trial={trial} threads={threads}");
             }
         }
     }
 
     #[test]
     fn lazy_evaluates_fewer_candidates_than_eager() {
-        // A skewed instance with many rounds: the eager scan pays the
-        // full range every round, the lazy heap a handful of pops.
+        // A skewed instance with many rounds: an eager full-range scan
+        // would pay all n nodes every round, the lazy heaps a handful of
+        // pops.
         let mut rng = Rng::seed_from_u64(0xCE1F);
         let mut c = random_collection(&mut rng, 400, 2_000, 8);
         c.ensure_inverted_index();
-        let (eager, es) = greedy_max_cover_sharded_indexed_stats(&c, 40, 4, SelectStrategy::Eager);
-        let (lazy, ls) = greedy_max_cover_sharded_indexed_stats(&c, 40, 4, SelectStrategy::Lazy);
-        assert_eq!(eager, lazy);
-        assert_eq!(es.rounds, 40);
+        let (lazy, ls) = greedy_max_cover_sharded_indexed_stats(&c, 40, 4);
+        assert_eq!(lazy, greedy_max_cover_indexed(&c, 40));
         assert_eq!(ls.rounds, 40);
-        assert_eq!(es.repushes, 0, "the eager scan keeps no heap");
-        assert_eq!(es.dirty, 0, "the eager scan tracks no dirt");
         assert!(ls.dirty > 0, "selected rounds must report dirty nodes");
+        let full_scan = c.universe() * ls.rounds;
         assert!(
-            ls.evals * 5 <= es.evals,
-            "lazy {} vs eager {} evaluations",
+            ls.evals * 5 <= full_scan,
+            "lazy {} vs full-scan {} evaluations",
             ls.evals,
-            es.evals
+            full_scan
         );
     }
 
@@ -790,9 +708,6 @@ mod tests {
         let got = greedy_max_cover_sharded(&mut c, 2, 4);
         assert!(c.has_inverted_index());
         assert_eq!(got, greedy_max_cover_indexed(&c, 2));
-        let mut c2 = collection(&[&[0, 1], &[1, 2]], 3);
-        let lazy = greedy_max_cover_sharded_with(&mut c2, 2, 4, SelectStrategy::Lazy);
-        assert_eq!(lazy, got);
     }
 
     #[test]
@@ -801,12 +716,7 @@ mod tests {
         c.ensure_inverted_index();
         let want = greedy_max_cover_indexed(&c, 3);
         for threads in [2, 4] {
-            for strategy in STRATEGIES {
-                assert_eq!(
-                    greedy_max_cover_sharded_indexed_with(&c, 3, threads, strategy),
-                    want
-                );
-            }
+            assert_eq!(greedy_max_cover_sharded_indexed(&c, 3, threads), want);
         }
         assert_eq!(want.seeds, vec![0, 1, 2], "padding picks smallest ids");
     }
@@ -825,10 +735,7 @@ mod tests {
         let mut c = collection(&[&[9, 0], &[9, 1], &[9, 2], &[3], &[1, 2]], 10);
         c.ensure_inverted_index();
         let want = greedy_max_cover_indexed_stats(&c, 3);
-        for strategy in STRATEGIES {
-            let got = greedy_max_cover_sharded_indexed_stats(&c, 3, 1, strategy);
-            assert_eq!(got, want, "{strategy}");
-        }
+        assert_eq!(greedy_max_cover_sharded_indexed_stats(&c, 3, 1), want);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use tim_coverage::sharded::{
     merge_votes, sets_in_range, shard_prefix_ranges, worker_set_ranges, RoundPick, ShardVote,
     SELECT_SHARDS,
 };
-use tim_coverage::{greedy_max_cover, SelectStrategy, SetCollection};
+use tim_coverage::{greedy_max_cover, SetCollection};
 use tim_rng::{RandomSource, Rng};
 
 /// Builds a random collection: `sets` sets over universe `n`, each with
@@ -160,7 +160,7 @@ proptest! {
     /// plain gain table must reproduce both the pick (with the largest-id
     /// tie-break and smallest-id padding) and the recorded marginal.
     /// This would catch a stale heap entry surviving a round it should
-    /// not, even if eager and lazy happened to agree on a wrong order.
+    /// not, even if it and the serial heap agreed on a wrong order.
     #[test]
     fn lazy_rounds_match_the_reference_oracle(
         seed in 0u64..1_000_000,
@@ -171,8 +171,7 @@ proptest! {
     ) {
         let c = random_collection(seed, n, sets, 6);
         let k = 1 + (k_frac * (n - 1) as f64) as usize;
-        let (got, stats) =
-            greedy_max_cover_sharded_indexed_stats(&c, k, threads, SelectStrategy::Lazy);
+        let (got, stats) = greedy_max_cover_sharded_indexed_stats(&c, k, threads);
         prop_assert_eq!(got.seeds.len(), k.min(n));
         prop_assert_eq!(stats.rounds, k.min(n));
 
@@ -240,7 +239,7 @@ proptest! {
                     r,
                     &mut covered[r.start..r.end],
                     &gain,
-                    Some(&mut scratch),
+                    &mut scratch,
                 );
                 prop_assert!(
                     scratch.windows(2).all(|w| w[0] < w[1]),

@@ -7,10 +7,10 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use tim_core::parallel::{generate_rr_sets, shard_layout};
 use tim_core::select::resolve_select_threads;
-use tim_core::{select_stream_seed, SamplingPlan, SelectStrategy, TimPlus};
+use tim_core::{select_stream_seed, SamplingPlan, TimPlus};
 use tim_coverage::{
-    greedy_max_cover, greedy_max_cover_indexed, greedy_max_cover_sharded_indexed_with,
-    greedy_max_cover_sharded_with, CoverResult, SetCollection, SetsAccess, SetsStore, SetsView,
+    greedy_max_cover_sharded, greedy_max_cover_sharded_indexed, CoverResult, SetCollection,
+    SetsAccess, SetsStore, SetsView,
 };
 use tim_diffusion::BackingModel;
 use tim_graph::{CsrView, Graph, GraphStore, NodeId};
@@ -93,7 +93,6 @@ pub struct QueryEngine<M> {
     seed: u64,
     threads: usize,
     select_threads: usize,
-    select_strategy: SelectStrategy,
     k_max: usize,
     select_seed: u64,
     /// The RR-set pool, served from the heap or zero-copy from a mapped
@@ -145,7 +144,6 @@ impl<M: BackingModel + Clone> QueryEngine<M> {
             seed: 0,
             threads: std::thread::available_parallelism().map_or(1, |p| p.get()),
             select_threads: 1,
-            select_strategy: SelectStrategy::Auto,
             k_max: 50,
             select_seed: select_stream_seed(0),
             pool: SetsStore::heap(SetCollection::new(n)),
@@ -194,16 +192,6 @@ impl<M: BackingModel + Clone> QueryEngine<M> {
     #[must_use]
     pub fn select_threads(mut self, select_threads: usize) -> Self {
         self.select_threads = select_threads;
-        self
-    }
-
-    /// How sharded selection workers search their node range (default
-    /// [`SelectStrategy::Auto`], which picks the lazy CELF-style heaps).
-    /// Strategy never changes answers — lazy and eager votes are
-    /// byte-identical — only the number of gain evaluations per round.
-    #[must_use]
-    pub fn select_strategy(mut self, select_strategy: SelectStrategy) -> Self {
-        self.select_strategy = select_strategy;
         self
     }
 
@@ -564,28 +552,11 @@ impl<M: BackingModel + Clone> QueryEngine<M> {
             // Match once so the solver's inner loops monomorphize per
             // backing instead of dispatching per set access.
             match self.pool.view() {
-                SetsView::Heap(c) => {
-                    if t > 1 {
-                        greedy_max_cover_sharded_indexed_with(c, plan.k, t, self.select_strategy)
-                    } else {
-                        greedy_max_cover_indexed(c, plan.k)
-                    }
-                }
-                SetsView::Mmap(m) => {
-                    if t > 1 {
-                        greedy_max_cover_sharded_indexed_with(m, plan.k, t, self.select_strategy)
-                    } else {
-                        greedy_max_cover_indexed(m, plan.k)
-                    }
-                }
+                SetsView::Heap(c) => greedy_max_cover_sharded_indexed(c, plan.k, t),
+                SetsView::Mmap(m) => greedy_max_cover_sharded_indexed(m, plan.k, t),
             }
         } else {
-            let mut sub = self.subset(plan.theta);
-            if t > 1 {
-                greedy_max_cover_sharded_with(&mut sub, plan.k, t, self.select_strategy)
-            } else {
-                greedy_max_cover(&mut sub, plan.k)
-            }
+            greedy_max_cover_sharded(&mut self.subset(plan.theta), plan.k, t)
         };
         let frac = cover.coverage_fraction(plan.theta as usize);
         QueryOutcome {
@@ -652,20 +623,8 @@ impl<M: BackingModel + Clone> QueryEngine<M> {
             let t = resolve_select_threads(self.select_threads);
             self.pool.ensure_inverted_index();
             let cover = match self.pool.view() {
-                SetsView::Heap(c) => {
-                    if t > 1 {
-                        greedy_max_cover_sharded_indexed_with(c, depth, t, self.select_strategy)
-                    } else {
-                        greedy_max_cover_indexed(c, depth)
-                    }
-                }
-                SetsView::Mmap(m) => {
-                    if t > 1 {
-                        greedy_max_cover_sharded_indexed_with(m, depth, t, self.select_strategy)
-                    } else {
-                        greedy_max_cover_indexed(m, depth)
-                    }
-                }
+                SetsView::Heap(c) => greedy_max_cover_sharded_indexed(c, depth, t),
+                SetsView::Mmap(m) => greedy_max_cover_sharded_indexed(m, depth, t),
             };
             self.fast = Some(FastCover {
                 pool_theta: self.pool_theta,
@@ -879,8 +838,8 @@ mod tests {
         // The out-of-core pool story: a pool spilled as `.timp` v2 and
         // attached zero-copy must answer every query class — exact
         // replay, fast prefix, spread, marginal gain — byte-identically
-        // to the heap pool it was spilled from, at any thread count and
-        // either selection strategy, with no resample.
+        // to the heap pool it was spilled from, at any thread count, with
+        // no resample.
         let mut warm = engine(5);
         warm.warm();
         let dir = std::env::temp_dir().join(format!("tim_engine_poolmap_{}", std::process::id()));
@@ -889,40 +848,35 @@ mod tests {
         warm.to_pool().save_v2(&path).unwrap();
 
         for select_threads in [1usize, 4] {
-            for strategy in [SelectStrategy::Eager, SelectStrategy::Lazy] {
-                let mapped = crate::PoolMmap::open(&path).unwrap();
-                let mut e = QueryEngine::from_mapped_pool(
-                    GraphStore::from_arc(warm.graph_arc()),
-                    IndependentCascade,
-                    "ic",
-                    mapped,
-                )
-                .expect("spilled pool must re-attach mapped")
-                .threads(2)
-                .select_threads(select_threads)
-                .select_strategy(strategy);
-                assert!(e.pool_is_mapped());
-                assert_eq!(e.pool_theta(), warm.pool_theta());
-                assert_eq!(e.pool_memory_bytes(), 0);
-                assert!(e.pool_mapped_bytes() > 0);
+            let mapped = crate::PoolMmap::open(&path).unwrap();
+            let mut e = QueryEngine::from_mapped_pool(
+                GraphStore::from_arc(warm.graph_arc()),
+                IndependentCascade,
+                "ic",
+                mapped,
+            )
+            .expect("spilled pool must re-attach mapped")
+            .threads(2)
+            .select_threads(select_threads);
+            assert!(e.pool_is_mapped());
+            assert_eq!(e.pool_theta(), warm.pool_theta());
+            assert_eq!(e.pool_memory_bytes(), 0);
+            assert!(e.pool_mapped_bytes() > 0);
 
-                let mut heap = engine(5)
-                    .select_threads(select_threads)
-                    .select_strategy(strategy);
-                heap.warm();
-                for k in [1usize, 6, 12] {
-                    let h = heap.select(k);
-                    let m = e.select(k);
-                    assert_eq!(h.seeds, m.seeds, "t={select_threads} {strategy} k={k}");
-                    assert_eq!(h.estimated_spread, m.estimated_spread);
-                    assert!(!m.resampled, "mapped pool must serve without resampling");
-                }
-                assert!(e.pool_is_mapped(), "same-θ selects keep the mapping");
-                assert_eq!(heap.select_fast(9).seeds, e.select_fast(9).seeds);
-                let seeds = heap.select(6).seeds;
-                assert_eq!(heap.spread(&seeds), e.spread(&seeds));
-                assert_eq!(heap.marginal_gain(&seeds, 99), e.marginal_gain(&seeds, 99));
+            let mut heap = engine(5).select_threads(select_threads);
+            heap.warm();
+            for k in [1usize, 6, 12] {
+                let h = heap.select(k);
+                let m = e.select(k);
+                assert_eq!(h.seeds, m.seeds, "t={select_threads} k={k}");
+                assert_eq!(h.estimated_spread, m.estimated_spread);
+                assert!(!m.resampled, "mapped pool must serve without resampling");
             }
+            assert!(e.pool_is_mapped(), "same-θ selects keep the mapping");
+            assert_eq!(heap.select_fast(9).seeds, e.select_fast(9).seeds);
+            let seeds = heap.select(6).seeds;
+            assert_eq!(heap.spread(&seeds), e.spread(&seeds));
+            assert_eq!(heap.marginal_gain(&seeds, 99), e.marginal_gain(&seeds, 99));
         }
 
         // Growth detaches from the mapping: a tighter ε resamples onto
@@ -950,33 +904,23 @@ mod tests {
     fn select_threads_never_changes_answers() {
         // Exercises all three greedy call sites: the full-pool indexed
         // path (k = k_max), the subset path (k < k_max), and select_fast.
-        // Strategy varies alongside thread count — neither knob may
-        // change an answer.
         let mut serial = engine(7);
         serial.warm();
         for select_threads in [2usize, 4, 0] {
-            for strategy in [
-                SelectStrategy::Eager,
-                SelectStrategy::Lazy,
-                SelectStrategy::Auto,
-            ] {
-                let mut sharded = engine(7)
-                    .select_threads(select_threads)
-                    .select_strategy(strategy);
-                sharded.warm();
-                for k in [1usize, 6, 12] {
-                    let a = serial.select(k);
-                    let b = sharded.select(k);
-                    assert_eq!(a.seeds, b.seeds, "t={select_threads} {strategy} k={k}");
-                    assert_eq!(a.estimated_spread, b.estimated_spread);
-                    assert!(!b.resampled);
-                }
-                assert_eq!(
-                    serial.select_fast(9).seeds,
-                    sharded.select_fast(9).seeds,
-                    "t={select_threads} {strategy} fast"
-                );
+            let mut sharded = engine(7).select_threads(select_threads);
+            sharded.warm();
+            for k in [1usize, 6, 12] {
+                let a = serial.select(k);
+                let b = sharded.select(k);
+                assert_eq!(a.seeds, b.seeds, "t={select_threads} k={k}");
+                assert_eq!(a.estimated_spread, b.estimated_spread);
+                assert!(!b.resampled);
             }
+            assert_eq!(
+                serial.select_fast(9).seeds,
+                sharded.select_fast(9).seeds,
+                "t={select_threads} fast"
+            );
         }
     }
 

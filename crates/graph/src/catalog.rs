@@ -127,12 +127,6 @@ pub struct GraphOverrides {
     /// Greedy-selection thread override (`select_threads=4`; 0 = all
     /// cores). Never changes answers, only per-query latency.
     pub select_threads: Option<usize>,
-    /// Greedy-selection strategy override
-    /// (`select_strategy=eager|lazy|auto`). Stored as the validated
-    /// spelling — this crate sits below the solver crate, so the server
-    /// parses it into its own strategy enum. Never changes answers,
-    /// only how many gains the sharded workers evaluate.
-    pub select_strategy: Option<String>,
 }
 
 impl GraphOverrides {
@@ -246,19 +240,9 @@ impl GraphOverrides {
                     return Err(dup(key));
                 }
             }
-            "select_strategy" => {
-                if !matches!(value, "eager" | "lazy" | "auto") {
-                    return Err(bad(format!(
-                        "select_strategy override '{value}' must be eager, lazy, or auto"
-                    )));
-                }
-                if self.select_strategy.replace(value.to_string()).is_some() {
-                    return Err(dup(key));
-                }
-            }
             other => {
                 return Err(bad(format!(
-                "unknown graph override '{other}' (known: model, eps, ell, seed, k, weights, mmap, mmap_pools, select_threads, select_strategy)"
+                "unknown graph override '{other}' (known: model, eps, ell, seed, k, weights, mmap, mmap_pools, select_threads)"
             )))
             }
         }
@@ -390,7 +374,7 @@ mod tests {
     #[test]
     fn overrides_parse_validate_and_reject() {
         let o = GraphOverrides::parse(
-            "model=lt,eps=0.2,ell=2,seed=9,k=20,weights=lt,mmap=on,mmap_pools=on,select_threads=4,select_strategy=lazy",
+            "model=lt,eps=0.2,ell=2,seed=9,k=20,weights=lt,mmap=on,mmap_pools=on,select_threads=4",
         )
         .unwrap();
         assert_eq!(o.model.as_deref(), Some("lt"));
@@ -402,21 +386,11 @@ mod tests {
         assert_eq!(o.mmap, Some(true));
         assert_eq!(o.mmap_pools, Some(true));
         assert_eq!(o.select_threads, Some(4));
-        assert_eq!(o.select_strategy.as_deref(), Some("lazy"));
         assert_eq!(GraphOverrides::parse("mmap=off").unwrap().mmap, Some(false));
         assert_eq!(
             GraphOverrides::parse("mmap_pools=off").unwrap().mmap_pools,
             Some(false)
         );
-        for s in ["eager", "lazy", "auto"] {
-            assert_eq!(
-                GraphOverrides::parse(&format!("select_strategy={s}"))
-                    .unwrap()
-                    .select_strategy
-                    .as_deref(),
-                Some(s)
-            );
-        }
         assert_eq!(
             GraphOverrides::parse("select_threads=0")
                 .unwrap()
@@ -444,8 +418,8 @@ mod tests {
             "mmap_pools=on,mmap_pools=off",
             "select_threads=x",
             "select_threads=2,select_threads=4",
-            "select_strategy=greedy",
-            "select_strategy=lazy,select_strategy=eager",
+            // The removed selection-strategy knob is an unknown key.
+            "select_strategy=lazy",
         ] {
             assert!(GraphOverrides::parse(bad).is_err(), "{bad:?} accepted");
         }

@@ -209,8 +209,7 @@ impl<M: BackingModel + Send + Clone + 'static> GraphState<M> {
         .ell(ell)
         .seed(self.config.seed)
         .k_max(self.config.k_max)
-        .select_threads(self.config.select_threads)
-        .select_strategy(self.config.select_strategy);
+        .select_threads(self.config.select_threads);
         if self.config.sample_threads > 0 {
             engine = engine.threads(self.config.sample_threads);
         }
@@ -239,9 +238,7 @@ impl<M: BackingModel + Send + Clone + 'static> GraphState<M> {
             ),
         }
         .map_err(|e| e.to_string())?;
-        engine = engine
-            .select_threads(self.config.select_threads)
-            .select_strategy(self.config.select_strategy);
+        engine = engine.select_threads(self.config.select_threads);
         if self.config.sample_threads > 0 {
             engine = engine.threads(self.config.sample_threads);
         }
@@ -737,13 +734,6 @@ impl<M: BackingModel + Send + Clone + 'static> GraphCatalog<M> {
         }
         if let Some(t) = overrides.select_threads {
             config.select_threads = t;
-        }
-        if let Some(s) = &overrides.select_strategy {
-            // Validated at parse time by GraphOverrides, so this cannot
-            // fail on a catalog that loaded successfully.
-            config.select_strategy = s
-                .parse()
-                .expect("GraphOverrides validated the strategy spelling");
         }
         Arc::new(config)
     }

@@ -28,7 +28,9 @@
 //!   and closes — with a hard deadline so a stuck peer cannot pin
 //!   shutdown.
 
-use crate::protocol::{CappedLineReader, DiscardOutcome, PollLine, OVERSIZED_LINE_REPLY};
+use crate::protocol::{
+    CappedLineReader, DiscardOutcome, PollLine, NOT_UTF8_LINE_REPLY, OVERSIZED_LINE_REPLY,
+};
 use crate::reactor::{Events, Interest, Poller, TimerWheel};
 use crate::server::{ServerState, MAX_LINE_BYTES};
 use crate::session::Session;
@@ -256,6 +258,10 @@ impl<'s, M: BackingModel + Send + Clone + 'static> Conn<'s, M> {
                         }
                         PollLine::Oversized => {
                             self.queue_line(OVERSIZED_LINE_REPLY);
+                            self.phase = Phase::ErrorDrain { half_closed: false };
+                        }
+                        PollLine::NotUtf8 => {
+                            self.queue_line(NOT_UTF8_LINE_REPLY);
                             self.phase = Phase::ErrorDrain { half_closed: false };
                         }
                     }

@@ -90,7 +90,8 @@ pub use fanin::{drive_sessions, latency_stats, FaninReport, LatencyStats, Sessio
 pub use protocol::{
     execute, parse_query, parse_request, CappedLine, CappedLineReader, LabelMap, ParsedLine,
     ParsedRequest, PollLine, Query, QueryBackend, Reply, Request, MAX_BATCH, MAX_BATCH_BYTES,
-    MAX_LINE_BYTES, OVERSIZED_BATCH_REPLY, OVERSIZED_LINE_REPLY, PROTOCOL_VERSION,
+    MAX_LINE_BYTES, NOT_UTF8_LINE_REPLY, OVERSIZED_BATCH_REPLY, OVERSIZED_LINE_REPLY,
+    PROTOCOL_VERSION,
 };
 pub use server::{Server, ServerConfig, ServerHandle, ServerState, DEFAULT_GRAPH_NAME};
 pub use session::Session;

@@ -65,6 +65,9 @@ pub const MAX_LINE_BYTES: u64 = 1 << 20;
 /// The answer line sent for a request line over [`MAX_LINE_BYTES`].
 pub const OVERSIZED_LINE_REPLY: &str = "error: request line exceeds the 1 MiB limit";
 
+/// The answer line sent for a request line that is not valid UTF-8.
+pub const NOT_UTF8_LINE_REPLY: &str = "error: request line is not valid UTF-8";
+
 /// Parses a comma-separated list of node labels (`17,4,99`). Empty items
 /// are skipped, so trailing commas are harmless.
 pub fn parse_id_list(s: &str) -> Result<Vec<u64>, String> {
@@ -439,6 +442,9 @@ pub enum CappedLine {
     /// prefix and the rest of the line is still unread. Answer
     /// [`OVERSIZED_LINE_REPLY`] and end the session.
     Oversized,
+    /// The line (consumed, buffer cleared) is not valid UTF-8. Answer
+    /// [`NOT_UTF8_LINE_REPLY`] and end the session.
+    NotUtf8,
 }
 
 /// Outcome of one [`CappedLineReader::poll_line`] call — [`CappedLine`]
@@ -453,6 +459,9 @@ pub enum PollLine {
     /// prefix and the rest of the line is still unread. Answer
     /// [`OVERSIZED_LINE_REPLY`] and end the session.
     Oversized,
+    /// The line (consumed, buffer cleared) is not valid UTF-8. Answer
+    /// [`NOT_UTF8_LINE_REPLY`] and end the session.
+    NotUtf8,
     /// The underlying stream has no more bytes *right now*
     /// (`WouldBlock`). Any partial line read so far is retained
     /// internally; call again when the stream is readable and the line
@@ -528,6 +537,7 @@ impl<R: Read> CappedLineReader<R> {
             PollLine::Eof => Ok(CappedLine::Eof),
             PollLine::Line => Ok(CappedLine::Line),
             PollLine::Oversized => Ok(CappedLine::Oversized),
+            PollLine::NotUtf8 => Ok(CappedLine::NotUtf8),
             PollLine::Pending => Err(std::io::Error::new(
                 std::io::ErrorKind::WouldBlock,
                 "read_line on a nonblocking stream; use poll_line",
@@ -595,10 +605,10 @@ impl<R: Read> CappedLineReader<R> {
                 *buf = s;
                 Ok(PollLine::Line)
             }
-            Err(_) => Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "request line is not valid UTF-8",
-            )),
+            Err(_) => {
+                buf.clear();
+                Ok(PollLine::NotUtf8)
+            }
         }
     }
 

@@ -15,7 +15,9 @@
 
 use crate::cache::{CacheStats, PoolKey};
 use crate::catalog::{CatalogStats, GraphCatalog, GraphState};
-use crate::protocol::{CappedLine, CappedLineReader, LabelMap, OVERSIZED_LINE_REPLY};
+use crate::protocol::{
+    CappedLine, CappedLineReader, LabelMap, NOT_UTF8_LINE_REPLY, OVERSIZED_LINE_REPLY,
+};
 use crate::session::Session;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -53,10 +55,6 @@ pub struct ServerConfig {
     /// 0 means all cores (default 1 = serial). The sharded solver is
     /// byte-identical to the serial one, so this never changes answers.
     pub select_threads: usize,
-    /// How sharded selection workers search their node range: eager
-    /// full scans, lazy CELF-style heaps, or auto (default; picks lazy).
-    /// Strategy never changes answers — only evaluation counts.
-    pub select_strategy: tim_core::SelectStrategy,
     /// Log per-query progress notes to stderr (default false).
     pub verbose: bool,
     /// Weight-model spec applied to lazily loaded catalog graphs
@@ -124,7 +122,6 @@ impl Default for ServerConfig {
             k_max: 50,
             sample_threads: 0,
             select_threads: 1,
-            select_strategy: tim_core::SelectStrategy::Auto,
             verbose: false,
             weights: "wc".to_string(),
             undirected: false,
@@ -460,32 +457,30 @@ fn serve_connection<M: BackingModel + Send + Clone + 'static>(
     let mut session = state.session();
     let mut line = String::new();
     loop {
-        match reader.read_line(&mut line)? {
-            CappedLine::Eof => break,
-            CappedLine::Oversized => {
-                writer.write_all(OVERSIZED_LINE_REPLY.as_bytes())?;
-                writer.write_all(b"\n")?;
-                writer.flush()?;
-                // Half-close, then drain (bounded) so the close is
-                // graceful and the client reliably reads the error line.
-                let _ = writer.shutdown(std::net::Shutdown::Write);
-                reader.drain(64 * MAX_LINE_BYTES);
-                return Ok(());
-            }
+        let framing_error = match reader.read_line(&mut line)? {
+            CappedLine::Eof => return write_answers(&mut writer, &session.finish()),
             CappedLine::Line => {
                 write_answers(&mut writer, &session.push_line(&line))?;
-                if session.closed() {
-                    // Same close discipline as an oversized line: the
-                    // error answer is out; half-close and drain so the
-                    // client reliably reads it.
-                    let _ = writer.shutdown(std::net::Shutdown::Write);
-                    reader.drain(64 * MAX_LINE_BYTES);
-                    return Ok(());
+                if !session.closed() {
+                    continue;
                 }
+                // The session answered its own error and ended.
+                None
             }
+            CappedLine::Oversized => Some(OVERSIZED_LINE_REPLY),
+            CappedLine::NotUtf8 => Some(NOT_UTF8_LINE_REPLY),
+        };
+        if let Some(reply) = framing_error {
+            writer.write_all(reply.as_bytes())?;
+            writer.write_all(b"\n")?;
+            writer.flush()?;
         }
+        // Half-close, then drain (bounded) so the close is graceful and
+        // the client reliably reads the error line.
+        let _ = writer.shutdown(std::net::Shutdown::Write);
+        reader.drain(64 * MAX_LINE_BYTES);
+        return Ok(());
     }
-    write_answers(&mut writer, &session.finish())
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@ use std::time::Duration;
 use tim_diffusion::IndependentCascade;
 use tim_server::{
     fanin, LabelMap, Server, ServerConfig, ServerHandle, ServerState, AT_CAPACITY_REPLY,
-    IDLE_TIMEOUT_REPLY, OVERSIZED_LINE_REPLY,
+    IDLE_TIMEOUT_REPLY, NOT_UTF8_LINE_REPLY, OVERSIZED_LINE_REPLY,
 };
 
 fn config() -> ServerConfig {
@@ -270,6 +270,22 @@ fn oversized_line_is_answered_then_connection_drains() {
     assert_eq!(reply.trim_end(), OVERSIZED_LINE_REPLY);
     reply.clear();
     assert_eq!(reader.read_line(&mut reply).unwrap(), 0, "half-closed");
+    handle.stop();
+}
+
+#[test]
+fn non_utf8_line_is_answered_then_connection_closes() {
+    let (_state, handle) = start(config());
+    let mut conn = TcpStream::connect(handle.addr()).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    conn.write_all(b"ping\nselect \xff2\nping\n").unwrap();
+    let mut transcript = String::new();
+    BufReader::new(conn)
+        .read_to_string(&mut transcript)
+        .unwrap();
+    let lines: Vec<&str> = transcript.lines().collect();
+    assert_eq!(lines, ["pong tim/3", NOT_UTF8_LINE_REPLY]);
     handle.stop();
 }
 

@@ -103,6 +103,18 @@ fn oversized_line_answers_error_and_closes() {
 }
 
 #[test]
+fn non_utf8_line_answers_error_and_closes() {
+    let (_state, handle) = start(1);
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    // The query after the bad line must not run: the session is over.
+    stream.write_all(b"ping\nselect \xff2\nping\n").unwrap();
+    stream.shutdown(std::net::Shutdown::Write).unwrap();
+    let lines: Vec<String> = BufReader::new(stream).lines().map(|l| l.unwrap()).collect();
+    assert_eq!(lines, ["pong tim/3", tim_server::NOT_UTF8_LINE_REPLY]);
+    handle.stop();
+}
+
+#[test]
 fn line_of_exactly_the_limit_is_served() {
     // The 1 MiB cap excludes the newline: a comment line of exactly
     // 2^20 content bytes must pass, and the session must continue.

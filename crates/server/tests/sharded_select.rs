@@ -1,15 +1,13 @@
 //! Differential determinism suite for sharded selection: full TCP
-//! transcripts under `--select-threads 1/2/4/8` and every
-//! `--select-strategy` must be byte-identical to the serial replay —
-//! selections, fast selections, spreads, marginals, and batches — on
-//! both heap and mmap backings, including a pool-growth race
-//! mid-session. Thread count and strategy may only ever change latency,
-//! never a single answer byte.
+//! transcripts under `--select-threads 1/2/4/8` must be byte-identical to
+//! the serial replay — selections, fast selections, spreads, marginals,
+//! and batches — on both heap and mmap backings, including a pool-growth
+//! race mid-session. Thread count may only ever change latency, never a
+//! single answer byte.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use tim_core::SelectStrategy;
 use tim_diffusion::IndependentCascade;
 use tim_graph::{gen, snapshot, weights, Graph};
 use tim_server::{GraphCatalog, Server, ServerConfig, ServerState};
@@ -32,13 +30,6 @@ fn config(mmap: bool, select_threads: usize) -> ServerConfig {
         weights: "keep".to_string(),
         mmap,
         ..ServerConfig::default()
-    }
-}
-
-fn config_with(mmap: bool, select_threads: usize, strategy: SelectStrategy) -> ServerConfig {
-    ServerConfig {
-        select_strategy: strategy,
-        ..config(mmap, select_threads)
     }
 }
 
@@ -149,6 +140,28 @@ fn pool_growth_race_mid_session_stays_deterministic() {
     // byte-identical across thread counts — on both backings.
     let dir = tmpdir("growth");
     let path = write_v2(&dir, "g", 150, 3);
+    for mmap in [false, true] {
+        let (a_serial, b_serial) = growth_race(&path, mmap, 1);
+        assert!(
+            a_serial.iter().all(|l| !l.starts_with("error")),
+            "{a_serial:?}"
+        );
+        for threads in [2usize, 4, 8] {
+            let (a, b) = growth_race(&path, mmap, threads);
+            assert_eq!(a, a_serial, "mmap={mmap} t={threads}: grower diverged");
+            assert_eq!(b, b_serial, "mmap={mmap} t={threads}: reader diverged");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Runs the two-client pool-growth race against a fresh server over
+/// `path` and returns (grower, reader) transcripts.
+fn growth_race(
+    path: &std::path::Path,
+    mmap: bool,
+    select_threads: usize,
+) -> (Vec<String>, Vec<String>) {
     let a_mix = [
         "select 3",
         "select 4 eps=0.35", // grows the pool mid-session
@@ -163,32 +176,15 @@ fn pool_growth_race_mid_session_stays_deterministic() {
         "eval 3,13,23",
         "select 4",
     ];
-
-    let race = |mmap: bool, select_threads: usize| -> (Vec<String>, Vec<String>) {
-        let state = state_over(&path, config(mmap, select_threads));
-        let server = Server::bind(state, "127.0.0.1:0").unwrap();
-        let handle = server.start();
-        let addr = handle.addr();
-        let a = std::thread::spawn(move || run_client(addr, &a_mix));
-        let b = std::thread::spawn(move || run_client(addr, &b_mix));
-        let out = (a.join().unwrap(), b.join().unwrap());
-        handle.stop();
-        out
-    };
-
-    for mmap in [false, true] {
-        let (a_serial, b_serial) = race(mmap, 1);
-        assert!(
-            a_serial.iter().all(|l| !l.starts_with("error")),
-            "{a_serial:?}"
-        );
-        for threads in [2usize, 4, 8] {
-            let (a, b) = race(mmap, threads);
-            assert_eq!(a, a_serial, "mmap={mmap} t={threads}: grower diverged");
-            assert_eq!(b, b_serial, "mmap={mmap} t={threads}: reader diverged");
-        }
-    }
-    std::fs::remove_dir_all(&dir).ok();
+    let state = state_over(path, config(mmap, select_threads));
+    let server = Server::bind(state, "127.0.0.1:0").unwrap();
+    let handle = server.start();
+    let addr = handle.addr();
+    let a = std::thread::spawn(move || run_client(addr, &a_mix));
+    let b = std::thread::spawn(move || run_client(addr, &b_mix));
+    let out = (a.join().unwrap(), b.join().unwrap());
+    handle.stop();
+    out
 }
 
 #[test]
@@ -216,14 +212,7 @@ fn per_graph_select_threads_override_parses_and_stays_identical() {
     };
 
     let serial = with_override(None);
-    for spec in [
-        "select_threads=4",
-        "select_threads=0",
-        "select_strategy=lazy",
-        "select_strategy=eager",
-        "select_threads=4,select_strategy=lazy",
-        "select_threads=8,select_strategy=eager",
-    ] {
+    for spec in ["select_threads=4", "select_threads=0", "select_threads=8"] {
         assert_eq!(with_override(Some(spec)), serial, "{spec} diverged");
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -231,9 +220,10 @@ fn per_graph_select_threads_override_parses_and_stays_identical() {
 
 #[test]
 fn select_strategy_transcripts_match_serial_on_heap_and_mmap() {
-    // Full tim/3 transcripts under every (strategy, thread count) combo
-    // must match the serial replay byte-for-byte on both backings: the
-    // lazy heaps and the eager scans are the same argmax.
+    // The sharded solver's lazy strategy (per-worker CELF heaps, stale
+    // pops re-evaluated, cached votes reused) is the same argmax as the
+    // serial replay: full transcripts on a second graph match serial
+    // byte-for-byte on both backings.
     let dir = tmpdir("strategy");
     let path = write_v2(&dir, "g", 150, 6);
 
@@ -243,18 +233,12 @@ fn select_strategy_transcripts_match_serial_on_heap_and_mmap() {
             serial.iter().any(|l| l.starts_with("seeds: ")),
             "mix must exercise selection, got {serial:?}"
         );
-        for strategy in [
-            SelectStrategy::Eager,
-            SelectStrategy::Lazy,
-            SelectStrategy::Auto,
-        ] {
-            for threads in [2usize, 8] {
-                let sharded = tcp_transcript(&path, config_with(mmap, threads, strategy), MIX);
-                assert_eq!(
-                    sharded, serial,
-                    "mmap={mmap} t={threads} {strategy}: transcript diverged from serial"
-                );
-            }
+        for threads in [2usize, 8] {
+            let sharded = tcp_transcript(&path, config(mmap, threads), MIX);
+            assert_eq!(
+                sharded, serial,
+                "mmap={mmap} t={threads}: transcript diverged from serial"
+            );
         }
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -262,57 +246,23 @@ fn select_strategy_transcripts_match_serial_on_heap_and_mmap() {
 
 #[test]
 fn pool_growth_race_stays_deterministic_under_every_strategy() {
-    // The mid-session pool growth from the race test above, replayed
-    // under the lazy strategy: growing the pool swaps the SetCollection
-    // under the solver, so every worker's cached heap state is rebuilt
-    // from scratch. Transcripts must still match serial on both backings.
+    // The mid-session pool growth from the race test above, on a second
+    // graph: growing the pool swaps the SetCollection under the lazy
+    // solver, so every worker's cached heap state is rebuilt from
+    // scratch. Transcripts must still match serial on both backings.
     let dir = tmpdir("growth_strategy");
     let path = write_v2(&dir, "g", 150, 7);
-    let a_mix = [
-        "select 3",
-        "select 4 eps=0.35", // grows the pool mid-session
-        "select 2",
-        "select 3 eps=0.35",
-        "eval 3,13",
-    ];
-    let b_mix = [
-        "select 2",
-        "marginal 3,13 23",
-        "select 2 fast",
-        "eval 3,13,23",
-        "select 4",
-    ];
-
-    let race = |mmap: bool, threads: usize, strategy: SelectStrategy| {
-        let state = state_over(&path, config_with(mmap, threads, strategy));
-        let server = Server::bind(state, "127.0.0.1:0").unwrap();
-        let handle = server.start();
-        let addr = handle.addr();
-        let a = std::thread::spawn(move || run_client(addr, &a_mix));
-        let b = std::thread::spawn(move || run_client(addr, &b_mix));
-        let out = (a.join().unwrap(), b.join().unwrap());
-        handle.stop();
-        out
-    };
 
     for mmap in [false, true] {
-        let (a_serial, b_serial) = race(mmap, 1, SelectStrategy::Eager);
+        let (a_serial, b_serial) = growth_race(&path, mmap, 1);
         assert!(
             a_serial.iter().all(|l| !l.starts_with("error")),
             "{a_serial:?}"
         );
-        for strategy in [SelectStrategy::Eager, SelectStrategy::Lazy] {
-            for threads in [4usize, 8] {
-                let (a, b) = race(mmap, threads, strategy);
-                assert_eq!(
-                    a, a_serial,
-                    "mmap={mmap} t={threads} {strategy}: grower diverged"
-                );
-                assert_eq!(
-                    b, b_serial,
-                    "mmap={mmap} t={threads} {strategy}: reader diverged"
-                );
-            }
+        for threads in [4usize, 8] {
+            let (a, b) = growth_race(&path, mmap, threads);
+            assert_eq!(a, a_serial, "mmap={mmap} t={threads}: grower diverged");
+            assert_eq!(b, b_serial, "mmap={mmap} t={threads}: reader diverged");
         }
     }
     std::fs::remove_dir_all(&dir).ok();

@@ -106,7 +106,7 @@ fn mmap_pools_restart_serves_mapped_zero_build_byte_identical() {
     let mix = "ping\nselect 4\nselect 2\nselect 3 eps=0.5\nselect 2 fast\n\
                eval 0,1,2\nmarginal 0,1 2\nbatch 3\nselect 3\neval 0,3\nmarginal 0 2\nstats\n";
 
-    let state = |persist: bool, mmap_pools: bool, strategy: tim_core::SelectStrategy| {
+    let state = |persist: bool, mmap_pools: bool| {
         let g = wc_graph(150, 1);
         let n = g.n();
         Arc::new(ServerState::new(
@@ -118,7 +118,6 @@ fn mmap_pools_restart_serves_mapped_zero_build_byte_identical() {
                 pool_dir: Some(pool_dir.clone()),
                 persist_pools: persist,
                 mmap_pools,
-                select_strategy: strategy,
                 admin: true,
                 ..config()
             },
@@ -134,50 +133,40 @@ fn mmap_pools_restart_serves_mapped_zero_build_byte_identical() {
     };
 
     // Cold phase: heap serving builds and spills both pools (v2 files).
-    let cold_state = state(true, false, tim_core::SelectStrategy::Auto);
+    let cold_state = state(true, false);
     let cold = serve(&cold_state, mix);
     assert_eq!(cold_state.default_state().cache_stats().builds, 2);
     drop(cold_state);
 
     // Heap warm restart is the reference transcript.
-    let heap_state = state(false, false, tim_core::SelectStrategy::Auto);
+    let heap_state = state(false, false);
     let heap = serve(&heap_state, mix);
     assert_eq!(heap, cold, "heap restart transcript byte-identical");
     drop(heap_state);
 
-    // Mapped warm restart, under both selection strategies: byte-identical
-    // to heap serving, zero builds, and the store counters prove the pools
-    // really were mapped (and checksum-verified), not decoded.
-    for strategy in [
-        tim_core::SelectStrategy::Eager,
-        tim_core::SelectStrategy::Lazy,
+    // Mapped warm restart: byte-identical to heap serving, zero builds,
+    // and the store counters prove the pools really were mapped (and
+    // checksum-verified), not decoded.
+    let mapped_state = state(false, true);
+    let mapped = serve(&mapped_state, format!("{mix}stats pools\n").as_str());
+    let (answers, pools_line) = mapped.split_at(mapped.len() - 1);
+    assert_eq!(answers, &heap[..], "mapped transcript byte-identical");
+    let s = mapped_state.default_state().cache_stats();
+    assert_eq!((s.builds, s.loads), (0, 2), "mapped restart builds nothing");
+    for part in [
+        "builds=0",
+        "quarantined=0",
+        "mmap_opens=2",
+        "verifies=2",
+        "heap_loads=0",
     ] {
-        let strat_state = state(false, false, strategy);
-        let strat = serve(&strat_state, mix);
-        drop(strat_state);
-
-        let mapped_state = state(false, true, strategy);
-        let mapped = serve(&mapped_state, format!("{mix}stats pools\n").as_str());
-        let (answers, pools_line) = mapped.split_at(mapped.len() - 1);
-        assert_eq!(answers, &strat[..], "mapped transcript byte-identical");
-        assert_eq!(strat, cold, "strategy never changes answers");
-        let s = mapped_state.default_state().cache_stats();
-        assert_eq!((s.builds, s.loads), (0, 2), "mapped restart builds nothing");
-        for part in [
-            "builds=0",
-            "quarantined=0",
-            "mmap_opens=2",
-            "verifies=2",
-            "heap_loads=0",
-        ] {
-            assert!(
-                pools_line[0].contains(part),
-                "want {part} in {}",
-                pools_line[0]
-            );
-        }
-        drop(mapped_state);
+        assert!(
+            pools_line[0].contains(part),
+            "want {part} in {}",
+            pools_line[0]
+        );
     }
+    drop(mapped_state);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -313,38 +313,17 @@ trap - EXIT
 diff out/kick-tires/oc_serve_answers.txt out/kick-tires/sharded_serve_answers.txt \
     && echo "--select-threads 4 serve byte-identical to serial serve: OK"
 
-echo "== lazy selection: --select-strategy lazy/eager transcripts == serial transcript =="
-# The CELF-style lazy heaps and the eager scans are the same argmax:
-# strategy, like thread count, may only change latency — never a byte.
-"$TIM" query "$SNAP2" -k 10 --eps 0.3 --seed 7 --weights keep \
-    --select-threads 4 --select-strategy lazy < "$SESSION" \
-    > out/kick-tires/lazy_query.txt
-diff out/kick-tires/oc_heap.txt out/kick-tires/lazy_query.txt \
-    && echo "--select-strategy lazy query byte-identical to serial: OK"
-"$TIM" query "$SNAP2" -k 10 --eps 0.3 --seed 7 --weights keep \
-    --select-threads 4 --select-strategy eager < "$SESSION" \
-    > out/kick-tires/eager_query.txt
-diff out/kick-tires/oc_heap.txt out/kick-tires/eager_query.txt \
-    && echo "--select-strategy eager query byte-identical to serial: OK"
-# And the lazy strategy through a live server over the mmap backing.
-"$TIM" serve "$SNAP2" --addr 127.0.0.1:0 --mmap --select-threads 4 --select-strategy lazy \
-    -k 10 --eps 0.3 --seed 7 \
-    > out/kick-tires/lazy_serve.addr 2> out/kick-tires/lazy_serve.log &
-LZ_PID=$!
-trap 'kill $LZ_PID 2>/dev/null || true' EXIT
-for _ in $(seq 1 100); do
-    grep -q '^listening on ' out/kick-tires/lazy_serve.addr 2>/dev/null && break
-    sleep 0.1
+echo "== unknown flags are rejected =="
+# A removed option or a misspelt flag must fail loudly (exit 2), never be
+# silently ignored.
+for flags in "--select-strategy lazy" "--select-threds 4"; do
+    if "$TIM" query "$SNAP2" $flags < /dev/null 2> out/kick-tires/unknown_flag.log; then
+        echo "tim query accepted $flags" >&2
+        exit 1
+    fi
+    grep -q '^error: unknown flag' out/kick-tires/unknown_flag.log \
+        && echo "tim query $flags rejected: OK"
 done
-LZ_ADDR=$(sed -n 's/^listening on //p' out/kick-tires/lazy_serve.addr)
-echo "lazy-selection server at $LZ_ADDR (pid $LZ_PID)"
-"$TIM" client --addr "$LZ_ADDR" --timeout 60 < "$SESSION" \
-    > out/kick-tires/lazy_serve_answers.txt
-kill $LZ_PID 2>/dev/null || true
-wait $LZ_PID 2>/dev/null || true
-trap - EXIT
-diff out/kick-tires/oc_serve_answers.txt out/kick-tires/lazy_serve_answers.txt \
-    && echo "--select-strategy lazy mmap serve byte-identical to serial serve: OK"
 
 echo "== experiment driver (quick): Figure 4 phase breakdown =="
 cargo run --release -p tim_bench --bin experiments -- fig4 --quick --scale 0.2 \

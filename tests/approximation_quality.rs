@@ -2,7 +2,9 @@
 //!
 //! On deterministic graphs (all probabilities 0 or 1) the spread is exact
 //! and OPT can be brute-forced, so the guarantee is checked without Monte
-//! Carlo noise; on small probabilistic graphs OPT is brute-forced with
+//! Carlo noise — for `Tim::run` and for every path the query engine
+//! serves answers from (exact replay, fast prefix, a grown pool, sharded
+//! selection). On small probabilistic graphs OPT is brute-forced with
 //! high-precision estimates.
 
 use tim_influence::prelude::*;
@@ -54,27 +56,99 @@ fn brute_force_opt(g: &Graph, k: usize, spread: impl Fn(&[NodeId]) -> f64) -> f6
     best
 }
 
-#[test]
-fn tim_meets_guarantee_on_deterministic_graphs() {
-    // Random deterministic graphs: each edge p = 1 or absent.
+/// ε every deterministic-graph check runs at.
+const EPS: f64 = 0.3;
+
+/// The largest k the deterministic-graph checks ask for; engines warm
+/// their pools for it, so smaller k exercise the subset paths.
+const K_MAX: usize = 3;
+
+/// Checks `(1 − 1/e − ε)·OPT` on random deterministic graphs (each edge
+/// p = 1 or absent) for k ∈ {1, 2, 3}, with the seed set `pick(graph, k,
+/// seed)` returns.
+fn assert_guarantee_on_deterministic_graphs(
+    path: &str,
+    pick: impl Fn(&Graph, usize, u64) -> Vec<NodeId>,
+) {
     for seed in 0..5u64 {
         let mut g = gen::erdos_renyi_gnm(14, 30, seed);
         weights::assign_constant(&mut g, 1.0);
-        for k in [1usize, 2, 3] {
-            let eps = 0.3;
+        for k in 1..=K_MAX {
             let opt = brute_force_opt(&g, k, |s| exact_spread(&g, s));
-            let r = Tim::new(IndependentCascade)
-                .epsilon(eps)
-                .seed(seed * 31 + k as u64)
-                .run(&g, k);
-            let achieved = exact_spread(&g, &r.seeds);
-            let bound = (1.0 - 1.0 / std::f64::consts::E - eps) * opt;
+            let seeds = pick(&g, k, seed * 31 + k as u64);
+            assert_eq!(seeds.len(), k, "{path}: seed {seed}, k={k}");
+            let achieved = exact_spread(&g, &seeds);
+            let bound = (1.0 - 1.0 / std::f64::consts::E - EPS) * opt;
             assert!(
                 achieved >= bound - 1e-9,
-                "seed {seed}, k={k}: achieved {achieved} < bound {bound} (opt {opt})"
+                "{path}: seed {seed}, k={k}: achieved {achieved} < bound {bound} (opt {opt})"
             );
         }
     }
+}
+
+/// A query engine at ε = [`EPS`] over `g`, its pool warmed for
+/// [`K_MAX`].
+fn warm_engine(g: &Graph, seed: u64, select_threads: usize) -> QueryEngine<IndependentCascade> {
+    let mut engine = QueryEngine::new(g.clone(), IndependentCascade, "ic")
+        .epsilon(EPS)
+        .seed(seed)
+        .k_max(K_MAX)
+        .select_threads(select_threads);
+    engine.warm();
+    engine
+}
+
+#[test]
+fn tim_meets_guarantee_on_deterministic_graphs() {
+    assert_guarantee_on_deterministic_graphs("Tim::run", |g, k, seed| {
+        Tim::new(IndependentCascade)
+            .epsilon(EPS)
+            .seed(seed)
+            .run(g, k)
+            .seeds
+    });
+}
+
+#[test]
+fn engine_exact_select_meets_guarantee_on_deterministic_graphs() {
+    assert_guarantee_on_deterministic_graphs("select", |g, k, seed| {
+        warm_engine(g, seed, 1).select(k).seeds
+    });
+}
+
+#[test]
+fn engine_select_fast_meets_guarantee_on_deterministic_graphs() {
+    assert_guarantee_on_deterministic_graphs("select_fast", |g, k, seed| {
+        warm_engine(g, seed, 1).select_fast(k).seeds
+    });
+}
+
+#[test]
+fn engine_grown_pool_meets_guarantee_on_deterministic_graphs() {
+    // A looser-ε query fills the pool first; the tighter one must grow it
+    // and still meet the guarantee at its own ε.
+    assert_guarantee_on_deterministic_graphs("grown pool", |g, k, seed| {
+        let mut engine = QueryEngine::new(g.clone(), IndependentCascade, "ic")
+            .epsilon(3.0 * EPS)
+            .seed(seed)
+            .k_max(K_MAX);
+        engine.warm();
+        assert!(
+            !engine.select(k).resampled,
+            "the warm pool serves the loose ε"
+        );
+        let tight = engine.select_with(k, Some(EPS), None);
+        assert!(tight.resampled, "the tighter ε must grow the pool");
+        tight.seeds
+    });
+}
+
+#[test]
+fn engine_sharded_select_meets_guarantee_on_deterministic_graphs() {
+    assert_guarantee_on_deterministic_graphs("select_threads(2)", |g, k, seed| {
+        warm_engine(g, seed, 2).select(k).seeds
+    });
 }
 
 #[test]
