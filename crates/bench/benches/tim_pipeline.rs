@@ -50,7 +50,11 @@ fn kpt_phase(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, &k| {
             b.iter(|| {
                 let mut rng = Rng::seed_from_u64(11);
-                black_box(estimate_kpt(&g, &IndependentCascade, k, 1.0, &mut rng).kpt_star)
+                black_box(
+                    estimate_kpt(&g, &IndependentCascade, k, 1.0, &mut rng)
+                        .unwrap()
+                        .kpt_star,
+                )
             });
         });
     }

@@ -47,7 +47,7 @@ fn cold_engine(graph: &Arc<Graph>) -> QueryEngine<IndependentCascade> {
         .epsilon(EPS)
         .seed(SEED)
         .k_max(K_MAX);
-    engine.warm();
+    engine.warm().unwrap();
     engine
 }
 

@@ -18,11 +18,13 @@
 //! it in CI and the full-scale run is checked in at the repo root so the
 //! trajectory is diffable across PRs.
 //!
-//! Fairness note: the event-loop mode opens every session at once (that
-//! is the point of the epoll core); the thread-pool mode is driven with
-//! at most 128 in flight so the measurement stays inside the listener
-//! backlog — beyond that the kernel drops SYNs and the numbers would
-//! measure retransmission timers, not the server.
+//! Fairness note: the first event-loop row opens every session at once
+//! (that is the point of the epoll core); the thread-pool mode is driven
+//! with at most 128 in flight so the measurement stays inside the
+//! listener backlog — beyond that the kernel drops SYNs and the numbers
+//! would measure retransmission timers, not the server. A second
+//! event-loop row runs at the same 128 in flight, so the two cores are
+//! also compared at matched offered load.
 
 #[cfg(target_os = "linux")]
 mod fanin_bench {
@@ -30,6 +32,10 @@ mod fanin_bench {
     use std::time::Duration;
     use tim_diffusion::IndependentCascade;
     use tim_server::{fanin, reactor, LabelMap, Server, ServerConfig, ServerState};
+
+    /// The thread pool's in-flight cap (its listener backlog), which the
+    /// matched-load event-loop row runs at too.
+    const MATCHED_IN_FLIGHT: usize = 128;
 
     /// One benched serving mode.
     struct ModeReport {
@@ -276,14 +282,28 @@ mod fanin_bench {
         // Thread pool: one thread per live connection; drive at most 128
         // in flight (the listener backlog) so queueing happens in
         // accept(), not in SYN retransmits.
-        let (tp, _, _) = run_mode("thread_pool", false, 32, sessions, 128, opts.quick);
+        let matched = MATCHED_IN_FLIGHT;
+        let (tp, _, _) = run_mode("thread_pool", false, 32, sessions, matched, opts.quick);
         eprintln!(
             "  thread_pool: {:>8.1} sessions/s  p50 {:>8.3} ms  p99 {:>8.3} ms  \
              first-byte p50 {:>8.3} ms  ok={}",
             tp.sessions_per_sec, tp.p50_ms, tp.p99_ms, tp.first_byte_p50_ms, tp.transcripts_ok
         );
 
-        let modes = [ev, tp];
+        // Event loop again at the thread pool's in-flight level: the
+        // matched-load comparison between the two cores.
+        let (ev_matched, _, _) = run_mode("event_loop", true, 2, sessions, matched, opts.quick);
+        eprintln!(
+            "  event_loop @{matched}: {:>8.1} sessions/s  p50 {:>8.3} ms  p99 {:>8.3} ms  \
+             first-byte p50 {:>8.3} ms  ok={}",
+            ev_matched.sessions_per_sec,
+            ev_matched.p50_ms,
+            ev_matched.p99_ms,
+            ev_matched.first_byte_p50_ms,
+            ev_matched.transcripts_ok
+        );
+
+        let modes = [ev, tp, ev_matched];
         let json = emit_json(opts.quick, nodes, arcs, &modes);
         // Self-check the emitter against our own parser before writing:
         // a malformed report should fail here, not in CI.

@@ -758,7 +758,6 @@ fn ablation(opts: &Opts) {
                 theta,
                 opts.seed ^ 0x77,
                 1,
-                1,
                 tim_core::GreedyImpl::LazyHeap,
             );
             let spread = est.estimate(&g, &sel.seeds);

@@ -96,7 +96,6 @@ fn query<G: tim_graph::CsrAccess>(graph: &G, theta: u64) -> Vec<u32> {
         theta,
         0xB7,
         1,
-        1,
         GreedyImpl::LazyHeap,
     )
     .seeds

@@ -103,6 +103,16 @@ impl Args {
         }
     }
 
+    /// Parsed ε/ℓ-style flag with a default: a positive, finite number.
+    pub fn get_positive(&self, name: &str, default: f64) -> Result<f64, String> {
+        let v: f64 = self.get_parsed(name, default)?;
+        if v.is_finite() && v > 0.0 {
+            Ok(v)
+        } else {
+            Err(format!("--{name} must be positive and finite, got '{v}'"))
+        }
+    }
+
     /// Required positional argument.
     pub fn positional(&self, idx: usize, what: &str) -> Result<&str, String> {
         self.positional

@@ -41,7 +41,7 @@ usage:
                [--default-graph <name>] [--max-loaded 8] [--pool <path.timp>]
                [--pool-dir <dir>] [--persist-pools] [--mmap-pools] [--admin] [--mmap]
                [-k <K=50>] [--model ic|lt] [--weights wc|...] [--eps 0.1] [--ell 1.0]
-               [--seed 0] [--pool-cache 4] [--select-threads 1] [--undirected] [--quiet]
+               [--seed 0] [--pool-cache 4] [--undirected] [--quiet]
                (reads line-delimited tim/3 queries from stdin:
                   select <k> [fast] [eps=<v>] [ell=<v>]
                   eval <id,id,...>
@@ -55,7 +55,7 @@ usage:
                [--addr 127.0.0.1:7171] [--threads 4] [--pool-cache 4]
                [--event-loop] [--idle-timeout <secs>] [--max-conns <n>]
                [-k <K=50>] [--model ic|lt] [--weights wc|...] [--eps 0.1] [--ell 1.0]
-               [--seed 0] [--pool <path.timp>] [--select-threads 1] [--undirected] [--quiet]
+               [--seed 0] [--pool <path.timp>] [--undirected] [--quiet]
                (serves the tim/3 query protocol over TCP; prints
                 `listening on <addr>` on stdout when bound — see docs/PROTOCOL.md;
                 --event-loop serves via epoll reactor shards instead of
@@ -73,12 +73,11 @@ usage:
   each --graph adds a lazily loaded named graph, and --graphs scans a
   directory of .timg/.txt/.edges files (stems become names). A --graph
   spec may carry per-graph overrides after `::` (model=ic|lt, eps=, ell=,
-  seed=, k=, weights=, mmap=true|false, mmap_pools=true|false,
-  select_threads=), replacing the global defaults for that graph.
-  --select-threads shards each query's greedy selection phase across N
-  worker threads (0 = all cores; default 1 = serial); answers are
-  byte-identical at any thread count, so it only changes latency.
-  Every subcommand rejects flags it does not list above.
+  seed=, k=, weights=, mmap=true|false, mmap_pools=true|false),
+  replacing the global defaults for that graph.
+  Every subcommand rejects flags it does not list above. --eps and --ell
+  (like their eps=/ell= override and query forms) must be positive and
+  finite.
   With --pool-dir every graph keeps its RR-set pools in <dir>/<name>/
   (read on start — a warm restart skips the pool builds); --persist-pools
   additionally writes newly built or grown pools back automatically;
@@ -163,7 +162,6 @@ const SESSION_FLAGS: &[&str] = &[
     "ell",
     "seed",
     "pool-cache",
-    "select-threads",
     "undirected",
     "quiet",
 ];
@@ -259,8 +257,8 @@ fn select(args: &Args) -> Result<(), String> {
     }
     let algo = args.get("algo").unwrap_or("tim+").to_lowercase();
     let model_name = args.get("model").unwrap_or("ic").to_lowercase();
-    let eps: f64 = args.get_parsed("eps", 0.1f64)?;
-    let ell: f64 = args.get_parsed("ell", 1.0f64)?;
+    let eps = args.get_positive("eps", 0.1)?;
+    let ell = args.get_positive("ell", 1.0)?;
     let seed: u64 = args.get_parsed("seed", 0u64)?;
     let runs: usize = args.get_parsed("runs", 10_000usize)?;
 
@@ -466,12 +464,11 @@ fn server_config(args: &Args, quiet: bool) -> Result<ServerConfig, String> {
     let config = ServerConfig {
         threads: args.get_parsed("threads", 4usize)?,
         pool_cache: args.get_parsed("pool-cache", 4usize)?,
-        epsilon: args.get_parsed("eps", 0.1f64)?,
-        ell: args.get_parsed("ell", 1.0f64)?,
+        epsilon: args.get_positive("eps", 0.1)?,
+        ell: args.get_positive("ell", 1.0)?,
         seed: args.get_parsed("seed", 0u64)?,
         k_max: args.get_parsed("k", 50usize)?,
         sample_threads: 0,
-        select_threads: args.get_parsed("select-threads", 1usize)?,
         verbose: !quiet,
         // `--mmap` flips the weights default to "keep": a mapped graph
         // serves the probabilities baked into its v2 snapshot verbatim.
@@ -1054,9 +1051,11 @@ mod tests {
     fn subcommands_reject_flags_they_do_not_document() {
         // Rejected before any file is read, so the graph need not exist.
         for (line, want) in [
-            // The removed selection-strategy option.
+            // The removed selection-strategy and selection-thread options.
             ("query g.txt --select-strategy lazy", "--select-strategy"),
             ("serve g.txt --select-strategy eager", "--select-strategy"),
+            ("query g.txt --select-threads 4", "--select-threads"),
+            ("serve g.txt --select-threads 0", "--select-threads"),
             // A misspelt switch must not swallow the switch after it.
             ("serve g.txt --persist-pool --admin", "--persist-pool"),
             ("query g.txt --select-threds 4", "--select-threds"),
@@ -1276,6 +1275,30 @@ mod tests {
     }
 
     #[test]
+    fn query_session_answers_extreme_eps_and_ell_with_errors() {
+        let loaded = io::read_edge_list("0 1\n1 2\n2 0\n2 3\n".as_bytes(), false).unwrap();
+        let state = session_state(loaded, 1.0, 0, 2);
+        let mut input = String::new();
+        for bad in ["ell=inf", "ell=1e300", "eps=1e-12", "eps=inf"] {
+            input.push_str(&format!("select 2 {bad}\nping\n"));
+        }
+        let lines = run_session(&state, &input);
+        assert_eq!(lines.len(), 8, "{lines:?}");
+        for pair in lines.chunks(2) {
+            assert!(pair[0].starts_with("error: select: "), "{lines:?}");
+            assert_eq!(pair[1], "pong tim/3");
+        }
+        // The global flags refuse what the protocol refuses.
+        for flags in ["--eps inf", "--ell NaN", "--eps 0", "--ell -1"] {
+            let err = dispatch(&argv(&format!("query g.txt {flags}"))).unwrap_err();
+            assert!(
+                err.contains("must be positive and finite"),
+                "{flags}: {err}"
+            );
+        }
+    }
+
+    #[test]
     fn query_session_reports_unknown_labels() {
         let loaded = io::read_edge_list("0 1\n1 2\n2 0\n".as_bytes(), false).unwrap();
         let state = session_state(loaded, 1.0, 0, 2);
@@ -1336,7 +1359,7 @@ mod tests {
             .epsilon(0.7)
             .seed(5)
             .k_max(3);
-        engine.warm();
+        engine.warm().unwrap();
         engine.to_pool().save(&pool).unwrap();
 
         // Multi-graph catalog + absent flags: the pool's provenance must

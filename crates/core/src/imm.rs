@@ -60,7 +60,6 @@ pub struct Imm<M> {
     epsilon: f64,
     ell: f64,
     seed: u64,
-    select_threads: usize,
     greedy: GreedyImpl,
 }
 
@@ -72,7 +71,6 @@ impl<M: DiffusionModel + Sync> Imm<M> {
             epsilon: 0.1,
             ell: 1.0,
             seed: 0,
-            select_threads: 1,
             greedy: GreedyImpl::LazyHeap,
         }
     }
@@ -100,14 +98,6 @@ impl<M: DiffusionModel + Sync> Imm<M> {
         self
     }
 
-    /// Worker threads for the greedy selection steps (default 1 = serial;
-    /// 0 = all cores). Never changes the answer.
-    #[must_use]
-    pub fn select_threads(mut self, select_threads: usize) -> Self {
-        self.select_threads = select_threads;
-        self
-    }
-
     /// Chooses the greedy max-coverage implementation.
     #[must_use]
     pub fn greedy(mut self, greedy: GreedyImpl) -> Self {
@@ -116,7 +106,7 @@ impl<M: DiffusionModel + Sync> Imm<M> {
     }
 
     fn cover(&self, collection: &mut SetCollection, k: usize) -> CoverResult {
-        run_greedy(collection, k, self.greedy, self.select_threads)
+        run_greedy(collection, k, self.greedy)
     }
 
     /// Selects `k` seeds on `graph`.
@@ -305,15 +295,6 @@ mod tests {
         assert_eq!(a.seeds, b.seeds);
         assert_eq!(a.theta, b.theta);
         assert_eq!(a.lb, b.lb);
-        for select_threads in [2, 4, 0] {
-            let c = Imm::new(IndependentCascade)
-                .epsilon(0.6)
-                .seed(12)
-                .select_threads(select_threads)
-                .run(&g, 5);
-            assert_eq!(a.seeds, c.seeds, "select_threads={select_threads}");
-            assert_eq!(a.lb, c.lb);
-        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! guaranteeing `KPT* ∈ [KPT/4, OPT]` with probability `1 − n^(−ℓ)`
 //! (Theorem 2).
 
-use crate::math::{kappa, kpt_iteration_samples};
+use crate::math::{kappa, kpt_iteration_samples, SampleCountError};
 use tim_coverage::SetCollection;
 use tim_diffusion::{DiffusionModel, RrSampler};
 use tim_graph::CsrAccess;
@@ -45,7 +45,8 @@ impl KptEstimate {
     }
 }
 
-/// Runs Algorithm 2 on `graph` for seed-set size `k`.
+/// Runs Algorithm 2 on `graph` for seed-set size `k`. Fails before
+/// drawing an iteration whose `c_i` no pool can hold (an extreme ℓ).
 ///
 /// # Panics
 /// Panics if the graph has no nodes or no edges (KPT is undefined without
@@ -56,7 +57,7 @@ pub fn estimate_kpt<G: CsrAccess, M: DiffusionModel<G>>(
     k: u64,
     ell: f64,
     rng: &mut Rng,
-) -> KptEstimate {
+) -> Result<KptEstimate, SampleCountError> {
     let n = graph.n() as u64;
     let m = graph.m() as u64;
     assert!(n >= 2, "estimate_kpt: need at least 2 nodes");
@@ -72,7 +73,7 @@ pub fn estimate_kpt<G: CsrAccess, M: DiffusionModel<G>>(
     let max_iter = ((n as f64).log2().floor() as i64 - 1).max(1) as u32;
 
     for i in 1..=max_iter {
-        let ci = kpt_iteration_samples(n, ell, i);
+        let ci = kpt_iteration_samples(n, ell, i)?;
         let mut sets = SetCollection::with_capacity(graph.n(), ci as usize, ci as usize * 4);
         let mut sum = 0.0f64;
         for _ in 0..ci {
@@ -83,24 +84,24 @@ pub fn estimate_kpt<G: CsrAccess, M: DiffusionModel<G>>(
         }
         total_rr_sets += ci;
         if sum / ci as f64 > 1.0 / (1u64 << i) as f64 {
-            return KptEstimate {
+            return Ok(KptEstimate {
                 kpt_star: (n as f64 * sum / (2.0 * ci as f64)).max(1.0),
                 last_iteration_sets: sets,
                 iterations: i,
                 total_rr_sets,
                 total_width,
-            };
+            });
         }
         if i == max_iter {
             // Fell through every iteration: KPT* = 1 (Algorithm 2 line 10),
             // but keep the final iteration's sets for RefineKPT.
-            return KptEstimate {
+            return Ok(KptEstimate {
                 kpt_star: 1.0,
                 last_iteration_sets: sets,
                 iterations: i,
                 total_rr_sets,
                 total_width,
-            };
+            });
         }
     }
     unreachable!("loop always returns on its final iteration");
@@ -122,7 +123,7 @@ mod tests {
     fn kpt_star_is_at_least_one() {
         let g = wc_graph(1);
         let mut rng = Rng::seed_from_u64(2);
-        let est = estimate_kpt(&g, &IndependentCascade, 5, 1.0, &mut rng);
+        let est = estimate_kpt(&g, &IndependentCascade, 5, 1.0, &mut rng).unwrap();
         assert!(est.kpt_star >= 1.0);
         assert!(est.iterations >= 1);
         assert!(est.total_rr_sets > 0);
@@ -132,7 +133,7 @@ mod tests {
     fn kpt_star_is_below_n() {
         let g = wc_graph(3);
         let mut rng = Rng::seed_from_u64(4);
-        let est = estimate_kpt(&g, &IndependentCascade, 5, 1.0, &mut rng);
+        let est = estimate_kpt(&g, &IndependentCascade, 5, 1.0, &mut rng).unwrap();
         assert!(est.kpt_star <= g.n() as f64);
     }
 
@@ -143,8 +144,8 @@ mod tests {
         let g = wc_graph(5);
         let mut rng1 = Rng::seed_from_u64(6);
         let mut rng2 = Rng::seed_from_u64(6);
-        let small = estimate_kpt(&g, &IndependentCascade, 1, 1.0, &mut rng1);
-        let large = estimate_kpt(&g, &IndependentCascade, 50, 1.0, &mut rng2);
+        let small = estimate_kpt(&g, &IndependentCascade, 1, 1.0, &mut rng1).unwrap();
+        let large = estimate_kpt(&g, &IndependentCascade, 50, 1.0, &mut rng2).unwrap();
         assert!(
             large.kpt_star >= 0.5 * small.kpt_star,
             "KPT*(k=50) = {} unexpectedly far below KPT*(k=1) = {}",
@@ -160,7 +161,7 @@ mod tests {
         let g = wc_graph(7);
         let k = 10;
         let mut rng = Rng::seed_from_u64(8);
-        let est = estimate_kpt(&g, &IndependentCascade, k, 1.0, &mut rng);
+        let est = estimate_kpt(&g, &IndependentCascade, k, 1.0, &mut rng).unwrap();
         let mut by_deg: Vec<u32> = (0..g.n() as u32).collect();
         by_deg.sort_by_key(|&v| std::cmp::Reverse(g.out_degree(v)));
         let seeds: Vec<u32> = by_deg[..k as usize].to_vec();
@@ -181,7 +182,7 @@ mod tests {
     fn last_iteration_sets_are_kept() {
         let g = wc_graph(10);
         let mut rng = Rng::seed_from_u64(11);
-        let est = estimate_kpt(&g, &IndependentCascade, 5, 1.0, &mut rng);
+        let est = estimate_kpt(&g, &IndependentCascade, 5, 1.0, &mut rng).unwrap();
         assert!(!est.last_iteration_sets.is_empty());
         assert_eq!(est.last_iteration_sets.universe(), g.n());
         // Every stored set is non-empty (contains at least its root).
@@ -195,8 +196,8 @@ mod tests {
         let g = wc_graph(12);
         let mut r1 = Rng::seed_from_u64(13);
         let mut r2 = Rng::seed_from_u64(13);
-        let a = estimate_kpt(&g, &IndependentCascade, 8, 1.0, &mut r1);
-        let b = estimate_kpt(&g, &IndependentCascade, 8, 1.0, &mut r2);
+        let a = estimate_kpt(&g, &IndependentCascade, 8, 1.0, &mut r1).unwrap();
+        let b = estimate_kpt(&g, &IndependentCascade, 8, 1.0, &mut r2).unwrap();
         assert_eq!(a.kpt_star, b.kpt_star);
         assert_eq!(a.iterations, b.iterations);
         assert_eq!(a.total_rr_sets, b.total_rr_sets);
@@ -207,7 +208,7 @@ mod tests {
         let mut g = gen::barabasi_albert(300, 4, 0.0, 14);
         weights::assign_lt_normalized(&mut g, 15);
         let mut rng = Rng::seed_from_u64(16);
-        let est = estimate_kpt(&g, &LinearThreshold, 10, 1.0, &mut rng);
+        let est = estimate_kpt(&g, &LinearThreshold, 10, 1.0, &mut rng).unwrap();
         assert!(est.kpt_star >= 1.0);
         assert!(est.kpt_star <= g.n() as f64);
         assert!(est.ept_estimate() > 0.0);
@@ -219,7 +220,7 @@ mod tests {
         let mut g = gen::erdos_renyi_gnm(256, 1024, 17);
         weights::assign_constant(&mut g, 0.001);
         let mut rng = Rng::seed_from_u64(18);
-        let est = estimate_kpt(&g, &IndependentCascade, 1, 1.0, &mut rng);
+        let est = estimate_kpt(&g, &IndependentCascade, 1, 1.0, &mut rng).unwrap();
         assert!(
             est.kpt_star < 3.0,
             "KPT* = {} should be near 1 on a dead graph",
@@ -231,7 +232,7 @@ mod tests {
     fn ept_estimate_reflects_graph_density() {
         let g = wc_graph(19);
         let mut rng = Rng::seed_from_u64(20);
-        let est = estimate_kpt(&g, &IndependentCascade, 5, 1.0, &mut rng);
+        let est = estimate_kpt(&g, &IndependentCascade, 5, 1.0, &mut rng).unwrap();
         // EPT is at least the average in-degree of a uniform root's
         // neighbourhood's root itself: every RR set has width >= indeg(root)
         // ... so the average must be positive on this connected-ish graph.
@@ -243,6 +244,6 @@ mod tests {
     fn rejects_trivial_graph() {
         let g = tim_graph::GraphBuilder::new(1).build();
         let mut rng = Rng::seed_from_u64(21);
-        estimate_kpt(&g, &IndependentCascade, 1, 1.0, &mut rng);
+        estimate_kpt(&g, &IndependentCascade, 1, 1.0, &mut rng).unwrap();
     }
 }

@@ -3,6 +3,44 @@
 //! All logarithms are natural, matching the paper's convention ("unless
 //! otherwise specified, all logarithms in this paper are to the base e").
 
+/// Most RR sets one sample may hold: pools index their sets by 32-bit id.
+pub const MAX_SAMPLE_COUNT: u64 = u32::MAX as u64;
+
+/// A sample count (KPT's `c_i`, refinement's θ′, or θ) that no pool can
+/// hold: not finite, or more than [`MAX_SAMPLE_COUNT`] RR sets. Extreme
+/// ε or ℓ values produce it; the planner reports it before drawing.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SampleCountError {
+    /// Which count is out of range (`c_i`, `theta'` or `theta`).
+    pub what: &'static str,
+    /// The count as computed.
+    pub count: f64,
+}
+
+impl std::fmt::Display for SampleCountError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} = {:.3e} RR sets exceeds the {MAX_SAMPLE_COUNT}-set pool limit; loosen eps or ell",
+            self.what, self.count
+        )
+    }
+}
+
+impl std::error::Error for SampleCountError {}
+
+/// Rounds a real-valued sample count up to a whole number of RR sets (at
+/// least 1), or reports it when it is not finite or exceeds
+/// [`MAX_SAMPLE_COUNT`].
+pub fn sample_count(what: &'static str, count: f64) -> Result<u64, SampleCountError> {
+    // NaN fails the comparison too.
+    if count <= MAX_SAMPLE_COUNT as f64 {
+        Ok(count.ceil().max(1.0) as u64)
+    } else {
+        Err(SampleCountError { what, count })
+    }
+}
+
 /// Natural log of the binomial coefficient `C(n, k)`.
 ///
 /// Computed as `Σ_{i=1..k} ln((n − k + i) / i)` — O(k), exact enough for
@@ -65,12 +103,12 @@ pub fn epsilon_prime(epsilon: f64, k: u64, ell: f64) -> f64 {
 
 /// Per-iteration sample count of Algorithm 2 (Equation 9):
 /// `c_i = (6·ℓ·ln n + 6·ln log₂ n) · 2^i`.
-pub fn kpt_iteration_samples(n: u64, ell: f64, i: u32) -> u64 {
+pub fn kpt_iteration_samples(n: u64, ell: f64, i: u32) -> Result<u64, SampleCountError> {
     assert!(n >= 2, "kpt_iteration_samples: n must be at least 2");
     let n_f = n as f64;
     let log2n = n_f.log2();
     let base = 6.0 * ell * n_f.ln() + 6.0 * log2n.ln();
-    (base * (1u64 << i) as f64).ceil().max(1.0) as u64
+    sample_count("c_i", base * (1u64 << i) as f64)
 }
 
 /// `κ(R) = 1 − (1 − w(R)/m)^k` from Equation 8, the per-RR-set statistic
@@ -174,11 +212,25 @@ mod tests {
 
     #[test]
     fn kpt_iteration_samples_double_per_iteration() {
-        let c1 = kpt_iteration_samples(10_000, 1.0, 1);
-        let c2 = kpt_iteration_samples(10_000, 1.0, 2);
-        let c3 = kpt_iteration_samples(10_000, 1.0, 3);
+        let c1 = kpt_iteration_samples(10_000, 1.0, 1).unwrap();
+        let c2 = kpt_iteration_samples(10_000, 1.0, 2).unwrap();
+        let c3 = kpt_iteration_samples(10_000, 1.0, 3).unwrap();
         assert!(c2 >= 2 * c1 - 2 && c2 <= 2 * c1 + 2);
         assert!(c3 >= 2 * c2 - 2 && c3 <= 2 * c2 + 2);
+    }
+
+    #[test]
+    fn sample_count_rounds_up_and_rejects_what_no_pool_holds() {
+        assert_eq!(sample_count("theta", 0.0), Ok(1));
+        assert_eq!(sample_count("theta", 2.1), Ok(3));
+        let max = MAX_SAMPLE_COUNT as f64;
+        assert_eq!(sample_count("theta", max), Ok(MAX_SAMPLE_COUNT));
+        for bad in [max + 1.0, 1e300, f64::INFINITY, f64::NAN] {
+            let e = sample_count("theta'", bad).unwrap_err();
+            assert_eq!(e.what, "theta'");
+            assert!(e.to_string().starts_with("theta' = "), "{e}");
+        }
+        assert!(kpt_iteration_samples(10_000, 1e300, 1).is_err());
     }
 
     #[test]

@@ -278,23 +278,6 @@ mod tests {
     }
 
     #[test]
-    fn select_sharding_matches_sampling_shard_layout() {
-        // The sharded greedy solver partitions the pool by the same
-        // shard-prefix arithmetic that sampling uses, so a "shard" means
-        // the same slice of sets in both phases. Pin the two together.
-        use tim_coverage::sharded::{shard_prefix_ranges, SELECT_SHARDS};
-        assert_eq!(SELECT_SHARDS as u64, SHARDS);
-        for theta in [64u64, 65, 100, 1_000, 4_099] {
-            let counts = shard_layout(theta);
-            let ranges = shard_prefix_ranges(theta as usize, SELECT_SHARDS);
-            assert_eq!(counts.len(), ranges.len());
-            for (i, (c, r)) in counts.iter().zip(&ranges).enumerate() {
-                assert_eq!(*c, r.len() as u64, "theta={theta} shard={i}");
-            }
-        }
-    }
-
-    #[test]
     fn zero_theta_yields_empty_collection() {
         let g = graph();
         let (c, stats) = generate_rr_sets(&g, &IndependentCascade, 0, 7, 2);

@@ -9,7 +9,7 @@
 //! worse than KPT* and empirically ~3× tighter (paper Figure 5).
 
 use crate::kpt::KptEstimate;
-use crate::math::{epsilon_prime, lambda_prime};
+use crate::math::{epsilon_prime, lambda_prime, sample_count, SampleCountError};
 use crate::parallel::generate_rr_sets_per_edge;
 use crate::select::run_greedy;
 use crate::tim::GreedyImpl;
@@ -34,7 +34,8 @@ pub struct Refined {
 ///
 /// `kpt` is the output of [`estimate_kpt`](crate::kpt::estimate_kpt)
 /// (consumed for its last-iteration RR sets); `eps_prime_override` forces a
-/// specific ε′ (`None` uses `5·(ℓ·ε²/(k+ℓ))^(1/3)`).
+/// specific ε′ (`None` uses `5·(ℓ·ε²/(k+ℓ))^(1/3)`). Fails before
+/// sampling when θ′ is more than any pool can hold (an extreme ε or ℓ).
 #[allow(clippy::too_many_arguments)]
 pub fn refine_kpt<G: CsrAccess, M: DiffusionModel<G> + Sync>(
     graph: &G,
@@ -46,32 +47,31 @@ pub fn refine_kpt<G: CsrAccess, M: DiffusionModel<G> + Sync>(
     eps_prime_override: Option<f64>,
     rng: &mut Rng,
     threads: usize,
-    select_threads: usize,
     greedy: GreedyImpl,
-) -> Refined {
+) -> Result<Refined, SampleCountError> {
     let n = graph.n() as u64;
     let eps_p = eps_prime_override.unwrap_or_else(|| epsilon_prime(epsilon, k.max(1) as u64, ell));
     assert!(eps_p > 0.0, "refine_kpt: epsilon_prime must be positive");
 
     // Lines 2-6: greedy cover on the last iteration's RR sets.
-    let cover = run_greedy(&mut kpt.last_iteration_sets, k, greedy, select_threads);
+    let cover = run_greedy(&mut kpt.last_iteration_sets, k, greedy);
     let candidate = cover.seeds;
 
     // Lines 7-9: θ' fresh RR sets.
     let lam_p = lambda_prime(n, eps_p, ell);
-    let theta_prime = (lam_p / kpt.kpt_star).ceil().max(1.0) as u64;
+    let theta_prime = sample_count("theta'", lam_p / kpt.kpt_star)?;
     let (collection, _) =
         generate_rr_sets_per_edge(graph, model, theta_prime, rng.next_u64(), threads);
 
     // Lines 10-12.
     let f = collection.coverage_fraction(&candidate);
     let kpt_prime = f * n as f64 / (1.0 + eps_p);
-    Refined {
+    Ok(Refined {
         kpt_plus: kpt_prime.max(kpt.kpt_star),
         kpt_prime,
         epsilon_prime: eps_p,
         theta_prime,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -91,7 +91,7 @@ mod tests {
     fn kpt_plus_never_below_kpt_star() {
         let g = setup(1);
         let mut rng = Rng::seed_from_u64(2);
-        let kpt = estimate_kpt(&g, &IndependentCascade, 10, 1.0, &mut rng);
+        let kpt = estimate_kpt(&g, &IndependentCascade, 10, 1.0, &mut rng).unwrap();
         let star = kpt.kpt_star;
         let refined = refine_kpt(
             &g,
@@ -103,9 +103,9 @@ mod tests {
             None,
             &mut rng,
             1,
-            1,
             GreedyImpl::LazyHeap,
-        );
+        )
+        .unwrap();
         assert!(refined.kpt_plus >= star);
         assert!(refined.theta_prime >= 1);
     }
@@ -116,7 +116,7 @@ mod tests {
         // should show a clear improvement too (>= 1.2x is conservative).
         let g = setup(3);
         let mut rng = Rng::seed_from_u64(4);
-        let kpt = estimate_kpt(&g, &IndependentCascade, 20, 1.0, &mut rng);
+        let kpt = estimate_kpt(&g, &IndependentCascade, 20, 1.0, &mut rng).unwrap();
         let star = kpt.kpt_star;
         let refined = refine_kpt(
             &g,
@@ -128,9 +128,9 @@ mod tests {
             None,
             &mut rng,
             1,
-            1,
             GreedyImpl::LazyHeap,
-        );
+        )
+        .unwrap();
         assert!(
             refined.kpt_plus >= 1.2 * star,
             "KPT+ = {} vs KPT* = {star}: refinement should tighten",
@@ -145,7 +145,7 @@ mod tests {
         let g = setup(5);
         let k = 10;
         let mut rng = Rng::seed_from_u64(6);
-        let kpt = estimate_kpt(&g, &IndependentCascade, k as u64, 1.0, &mut rng);
+        let kpt = estimate_kpt(&g, &IndependentCascade, k as u64, 1.0, &mut rng).unwrap();
         let refined = refine_kpt(
             &g,
             &IndependentCascade,
@@ -156,9 +156,9 @@ mod tests {
             None,
             &mut rng,
             1,
-            1,
             GreedyImpl::LazyHeap,
-        );
+        )
+        .unwrap();
         let sel = crate::select::node_selection(
             &g,
             &IndependentCascade,
@@ -166,7 +166,6 @@ mod tests {
             20_000,
             7,
             2,
-            1,
             GreedyImpl::LazyHeap,
         );
         let opt_proxy = SpreadEstimator::new(IndependentCascade)
@@ -184,7 +183,7 @@ mod tests {
     fn epsilon_prime_override_is_respected() {
         let g = setup(9);
         let mut rng = Rng::seed_from_u64(10);
-        let kpt = estimate_kpt(&g, &IndependentCascade, 5, 1.0, &mut rng);
+        let kpt = estimate_kpt(&g, &IndependentCascade, 5, 1.0, &mut rng).unwrap();
         let refined = refine_kpt(
             &g,
             &IndependentCascade,
@@ -195,9 +194,9 @@ mod tests {
             Some(0.25),
             &mut rng,
             1,
-            1,
             GreedyImpl::LazyHeap,
-        );
+        )
+        .unwrap();
         assert_eq!(refined.epsilon_prime, 0.25);
     }
 
@@ -206,7 +205,7 @@ mod tests {
         let g = setup(11);
         let run = |seed: u64| {
             let mut rng = Rng::seed_from_u64(seed);
-            let kpt = estimate_kpt(&g, &IndependentCascade, 8, 1.0, &mut rng);
+            let kpt = estimate_kpt(&g, &IndependentCascade, 8, 1.0, &mut rng).unwrap();
             refine_kpt(
                 &g,
                 &IndependentCascade,
@@ -217,9 +216,9 @@ mod tests {
                 None,
                 &mut rng,
                 2,
-                2,
                 GreedyImpl::LazyHeap,
             )
+            .unwrap()
             .kpt_plus
         };
         assert_eq!(run(12), run(12));

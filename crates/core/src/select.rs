@@ -7,39 +7,18 @@
 
 use crate::parallel::{generate_rr_sets, BulkStats};
 use crate::tim::GreedyImpl;
-use tim_coverage::{greedy_max_cover_bucket, greedy_max_cover_sharded, CoverResult, SetCollection};
+use tim_coverage::{greedy_max_cover, greedy_max_cover_bucket, CoverResult, SetCollection};
 use tim_diffusion::DiffusionModel;
 use tim_graph::{CsrAccess, NodeId};
 
-/// Resolves a `select_threads` knob to a worker count: `0` means all
-/// cores, anything else is taken literally. Without the `parallel`
-/// feature every value resolves to 1 (serial), like sampling.
-pub fn resolve_select_threads(select_threads: usize) -> usize {
-    if !cfg!(feature = "parallel") {
-        return 1;
-    }
-    if select_threads == 0 {
-        std::thread::available_parallelism().map_or(1, |p| p.get())
-    } else {
-        select_threads
-    }
-}
-
-/// Runs the configured greedy solver over `collection`, sharding the
-/// lazy-heap solver across [`resolve_select_threads`]`(select_threads)`
-/// workers (one worker runs the serial solver). The thread count never
-/// changes the result — the sharded solver is byte-identical to the
-/// serial one — so callers may tune it freely.
+/// Runs the configured greedy solver over `collection`.
 pub(crate) fn run_greedy(
     collection: &mut SetCollection,
     k: usize,
     greedy: GreedyImpl,
-    select_threads: usize,
 ) -> CoverResult {
     match greedy {
-        GreedyImpl::LazyHeap => {
-            greedy_max_cover_sharded(collection, k, resolve_select_threads(select_threads))
-        }
+        GreedyImpl::LazyHeap => greedy_max_cover(collection, k),
         GreedyImpl::BucketQueue => greedy_max_cover_bucket(collection, k),
     }
 }
@@ -63,10 +42,8 @@ pub struct Selection {
 }
 
 /// Runs Algorithm 1: samples `theta` RR sets under `model` and greedily
-/// selects `k` nodes. `threads` drives sampling, `select_threads` the
-/// greedy phase ([`resolve_select_threads`]; 1 = serial, 0 = all cores);
-/// neither ever changes the answer.
-#[allow(clippy::too_many_arguments)]
+/// selects `k` nodes. `threads` drives sampling and never changes the
+/// answer.
 pub fn node_selection<G: CsrAccess, M: DiffusionModel<G> + Sync>(
     graph: &G,
     model: &M,
@@ -74,12 +51,11 @@ pub fn node_selection<G: CsrAccess, M: DiffusionModel<G> + Sync>(
     theta: u64,
     seed: u64,
     threads: usize,
-    select_threads: usize,
     greedy: GreedyImpl,
 ) -> Selection {
     let (mut collection, stats) = generate_rr_sets(graph, model, theta, seed, threads);
     let rr_memory_bytes = collection.memory_bytes();
-    let cover: CoverResult = run_greedy(&mut collection, k, greedy, select_threads);
+    let cover: CoverResult = run_greedy(&mut collection, k, greedy);
     let frac = cover.coverage_fraction(collection.len());
     Selection {
         estimated_spread: frac * graph.n() as f64,
@@ -108,7 +84,6 @@ mod tests {
             2_000,
             2,
             1,
-            1,
             GreedyImpl::LazyHeap,
         );
         assert_eq!(sel.seeds.len(), 10);
@@ -128,16 +103,7 @@ mod tests {
             b.add_edge_with_probability(0, v, 1.0);
         }
         let g = b.build();
-        let sel = node_selection(
-            &g,
-            &IndependentCascade,
-            1,
-            500,
-            3,
-            1,
-            1,
-            GreedyImpl::LazyHeap,
-        );
+        let sel = node_selection(&g, &IndependentCascade, 1, 500, 3, 1, GreedyImpl::LazyHeap);
         assert_eq!(sel.seeds, vec![0]);
         assert_eq!(sel.coverage_fraction, 1.0);
         assert_eq!(sel.estimated_spread, n as f64);
@@ -153,7 +119,6 @@ mod tests {
             5,
             20_000,
             5,
-            2,
             2,
             GreedyImpl::LazyHeap,
         );
@@ -181,7 +146,6 @@ mod tests {
             5_000,
             8,
             1,
-            1,
             GreedyImpl::LazyHeap,
         );
         let b = node_selection(
@@ -190,7 +154,6 @@ mod tests {
             8,
             5_000,
             8,
-            1,
             1,
             GreedyImpl::BucketQueue,
         );
@@ -214,12 +177,10 @@ mod tests {
             3_000,
             10,
             1,
-            1,
             GreedyImpl::LazyHeap,
         );
-        // Both sampling and selection thread counts vary; the answer may
-        // not (0 = all cores exercises the auto-resolution path too).
-        for (threads, select_threads) in [(4, 2), (2, 4), (1, 8), (4, 0)] {
+        // The sampling thread count varies; the answer may not.
+        for threads in [2, 4, 8] {
             let b = node_selection(
                 &g,
                 &IndependentCascade,
@@ -227,10 +188,9 @@ mod tests {
                 3_000,
                 10,
                 threads,
-                select_threads,
                 GreedyImpl::LazyHeap,
             );
-            assert_eq!(a.seeds, b.seeds, "select_threads={select_threads}");
+            assert_eq!(a.seeds, b.seeds, "threads={threads}");
             assert_eq!(a.estimated_spread, b.estimated_spread);
         }
     }

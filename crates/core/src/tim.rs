@@ -12,7 +12,7 @@
 //! footprint for Figure 12.
 
 use crate::kpt::estimate_kpt;
-use crate::math::{adjusted_ell, lambda};
+use crate::math::{adjusted_ell, lambda, sample_count, SampleCountError};
 use crate::refine::refine_kpt;
 use crate::select::node_selection;
 use std::time::{Duration, Instant};
@@ -79,7 +79,6 @@ struct Config {
     ell: f64,
     seed: u64,
     threads: usize,
-    select_threads: usize,
     greedy: GreedyImpl,
     eps_prime_override: Option<f64>,
 }
@@ -91,7 +90,6 @@ impl Default for Config {
             ell: 1.0,
             seed: 0,
             threads: std::thread::available_parallelism().map_or(1, |p| p.get()),
-            select_threads: 1,
             greedy: GreedyImpl::LazyHeap,
             eps_prime_override: None,
         }
@@ -131,15 +129,6 @@ macro_rules! builder_methods {
         pub fn threads(mut self, threads: usize) -> Self {
             assert!(threads > 0, "threads must be positive");
             self.cfg.threads = threads;
-            self
-        }
-
-        /// Worker threads for the greedy selection phase (default 1 =
-        /// serial; 0 = all cores). The sharded solver is byte-identical
-        /// to the serial one, so this never changes the answer.
-        #[must_use]
-        pub fn select_threads(mut self, select_threads: usize) -> Self {
-            self.cfg.select_threads = select_threads;
             self
         }
 
@@ -236,11 +225,14 @@ impl<M> Tim<M> {
 
     /// Runs the parameter-estimation phase only, returning the θ and
     /// selection-stream seed a full [`run`](Self::run) would use.
+    ///
+    /// # Panics
+    /// Panics where [`TimPlus::try_plan`] would fail.
     pub fn plan<G: CsrAccess>(&self, graph: &G, k: usize) -> SamplingPlan
     where
         M: DiffusionModel<G> + Sync,
     {
-        plan_impl(&self.model, &self.cfg, graph, k, false)
+        plan_impl(&self.model, &self.cfg, graph, k, false).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Selects `k` seeds on `graph`.
@@ -261,7 +253,8 @@ impl<M> Tim<M> {
     /// ```
     ///
     /// # Panics
-    /// Panics if the graph has fewer than 2 nodes or no edges, or `k == 0`.
+    /// Panics if the graph has fewer than 2 nodes or no edges, `k == 0`,
+    /// or a sample count is out of range (see [`SampleCountError`]).
     pub fn run<G: CsrAccess>(&self, graph: &G, k: usize) -> TimResult
     where
         M: DiffusionModel<G> + Sync,
@@ -298,7 +291,23 @@ impl<M> TimPlus<M> {
 
     /// Runs the estimation and refinement phases only, returning the θ and
     /// selection-stream seed a full [`run`](Self::run) would use.
+    ///
+    /// # Panics
+    /// Panics where [`try_plan`](Self::try_plan) would fail.
     pub fn plan<G: CsrAccess>(&self, graph: &G, k: usize) -> SamplingPlan
+    where
+        M: DiffusionModel<G> + Sync,
+    {
+        self.try_plan(graph, k).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`plan`](Self::plan), failing instead when ε or ℓ asks for a
+    /// sample count (`c_i`, θ′ or θ) no pool can hold — before drawing it.
+    pub fn try_plan<G: CsrAccess>(
+        &self,
+        graph: &G,
+        k: usize,
+    ) -> Result<SamplingPlan, SampleCountError>
     where
         M: DiffusionModel<G> + Sync,
     {
@@ -308,7 +317,8 @@ impl<M> TimPlus<M> {
     /// Selects `k` seeds on `graph`.
     ///
     /// # Panics
-    /// Panics if the graph has fewer than 2 nodes or no edges, or `k == 0`.
+    /// Panics if the graph has fewer than 2 nodes or no edges, `k == 0`,
+    /// or a sample count is out of range (see [`SampleCountError`]).
     pub fn run<G: CsrAccess>(&self, graph: &G, k: usize) -> TimResult
     where
         M: DiffusionModel<G> + Sync,
@@ -323,7 +333,7 @@ fn plan_impl<G: CsrAccess, M: DiffusionModel<G> + Sync>(
     graph: &G,
     k: usize,
     refine: bool,
-) -> SamplingPlan {
+) -> Result<SamplingPlan, SampleCountError> {
     assert!(k >= 1, "k must be at least 1");
     assert!(graph.n() >= 2, "graph must have at least 2 nodes");
     assert!(graph.m() >= 1, "graph must have at least 1 edge");
@@ -343,7 +353,7 @@ fn plan_impl<G: CsrAccess, M: DiffusionModel<G> + Sync>(
 
     // Phase 1: Algorithm 2.
     let t0 = Instant::now();
-    let kpt = estimate_kpt(graph, model, k as u64, ell_eff, &mut kpt_rng);
+    let kpt = estimate_kpt(graph, model, k as u64, ell_eff, &mut kpt_rng)?;
     phases.parameter_estimation = t0.elapsed();
     let kpt_star = kpt.kpt_star;
     let mut estimation_rr_sets = kpt.total_rr_sets;
@@ -361,9 +371,8 @@ fn plan_impl<G: CsrAccess, M: DiffusionModel<G> + Sync>(
             cfg.eps_prime_override,
             &mut refine_rng,
             cfg.threads,
-            cfg.select_threads,
             cfg.greedy,
-        );
+        )?;
         phases.refinement = t1.elapsed();
         estimation_rr_sets += refined.theta_prime;
         (
@@ -377,9 +386,9 @@ fn plan_impl<G: CsrAccess, M: DiffusionModel<G> + Sync>(
 
     // θ = λ / bound (Equation 5).
     let lam = lambda(n, k as u64, cfg.epsilon, ell_eff);
-    let theta = (lam / bound).ceil().max(1.0) as u64;
+    let theta = sample_count("theta", lam / bound)?;
 
-    SamplingPlan {
+    Ok(SamplingPlan {
         k,
         theta,
         select_seed,
@@ -389,7 +398,7 @@ fn plan_impl<G: CsrAccess, M: DiffusionModel<G> + Sync>(
         ell_eff,
         estimation_rr_sets,
         phases,
-    }
+    })
 }
 
 fn run_impl<G: CsrAccess, M: DiffusionModel<G> + Sync>(
@@ -399,7 +408,7 @@ fn run_impl<G: CsrAccess, M: DiffusionModel<G> + Sync>(
     k: usize,
     refine: bool,
 ) -> TimResult {
-    let plan = plan_impl(model, cfg, graph, k, refine);
+    let plan = plan_impl(model, cfg, graph, k, refine).unwrap_or_else(|e| panic!("{e}"));
     let mut phases = plan.phases;
 
     // Phase 2: Algorithm 1 with the planned θ.
@@ -411,7 +420,6 @@ fn run_impl<G: CsrAccess, M: DiffusionModel<G> + Sync>(
         plan.theta,
         plan.select_seed,
         cfg.threads,
-        cfg.select_threads,
         cfg.greedy,
     );
     phases.node_selection = t2.elapsed();
@@ -536,17 +544,6 @@ mod tests {
         assert_eq!(a.seeds, b.seeds);
         assert_eq!(a.theta, b.theta);
         assert_eq!(a.estimated_spread, b.estimated_spread);
-        // The greedy phase shards deterministically too (0 = all cores).
-        for select_threads in [2, 4, 0] {
-            let c = TimPlus::new(IndependentCascade)
-                .epsilon(0.8)
-                .seed(12)
-                .threads(2)
-                .select_threads(select_threads)
-                .run(&g, 5);
-            assert_eq!(a.seeds, c.seeds, "select_threads={select_threads}");
-            assert_eq!(a.estimated_spread, c.estimated_spread);
-        }
     }
 
     #[test]

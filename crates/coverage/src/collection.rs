@@ -16,9 +16,9 @@ use tim_graph::NodeId;
 /// boundary.
 ///
 /// Every method is `&self` and the contract is strictly read-only —
-/// which is why a `PROT_READ` file mapping can serve concurrent sharded
-/// selections directly (the `Sync` supertrait is what the sharded
-/// solver's scoped workers rely on).
+/// which is why a `PROT_READ` file mapping can serve concurrent
+/// selections directly (the `Sync` supertrait lets one shared pool answer
+/// readers on several threads).
 pub trait SetsAccess: Sync {
     /// Universe size `n`; members are node ids in `0..n`.
     fn universe(&self) -> usize;

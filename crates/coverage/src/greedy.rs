@@ -44,23 +44,17 @@ impl CoverResult {
 ///
 /// The counters measure *algorithmic* work, not wall-clock: `evals` is
 /// the number of candidate nodes whose current gain was inspected while
-/// searching for an argmax (the serial CELF heap and the sharded solver's
-/// per-worker heaps keep this near O(1) per round, where a full node scan
-/// would pay `n`), `repushes` counts stale heap entries refiled at their
-/// current gain, and `dirty` counts the distinct nodes per worker slice
-/// whose gain the apply phase changed (the invalidation traffic the
-/// sharded solver pays instead of rescanning).
+/// searching for an argmax (the CELF heap keeps this near O(1) per round,
+/// where a full node scan would pay `n`), and `repushes` counts stale
+/// heap entries refiled at their current gain.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalStats {
     /// Greedy rounds run (selected seeds plus padding rounds).
     pub rounds: usize,
-    /// Candidate gain evaluations across all rounds and workers.
+    /// Candidate gain evaluations across all rounds.
     pub evals: usize,
     /// Stale lazy-heap entries re-pushed at their current gain.
     pub repushes: usize,
-    /// Gain-invalidation events: distinct dirty nodes per worker slice,
-    /// summed over rounds (0 for solvers that do not track dirt).
-    pub dirty: usize,
 }
 
 impl EvalStats {
@@ -71,15 +65,6 @@ impl EvalStats {
         } else {
             self.evals as f64 / self.rounds as f64
         }
-    }
-
-    /// Accumulates another worker's counters into this one. `rounds` is
-    /// taken as the max, not the sum — workers run the same rounds.
-    pub fn absorb(&mut self, other: &EvalStats) {
-        self.rounds = self.rounds.max(other.rounds);
-        self.evals += other.evals;
-        self.repushes += other.repushes;
-        self.dirty += other.dirty;
     }
 }
 
@@ -486,41 +471,14 @@ mod tests {
         assert_eq!(stats.rounds, 3);
         // Every selected round evaluates at least the fresh argmax pop.
         assert!(stats.evals >= stats.rounds, "{stats:?}");
-        assert_eq!(stats.dirty, 0, "serial solver tracks no dirt");
+        assert_eq!(stats.evals_per_round(), stats.evals as f64 / 3.0);
+        assert_eq!(EvalStats::default().evals_per_round(), 0.0);
         // Padding rounds (everything covered) still count as rounds.
         let mut tiny = collection(&[&[0]], 5);
         tiny.ensure_inverted_index();
         let (r, s) = greedy_max_cover_indexed_stats(&tiny, 4);
         assert_eq!(r.seeds.len(), 4);
         assert_eq!(s.rounds, 4);
-    }
-
-    #[test]
-    fn stats_absorb_sums_work_and_maxes_rounds() {
-        let mut a = EvalStats {
-            rounds: 5,
-            evals: 10,
-            repushes: 2,
-            dirty: 7,
-        };
-        let b = EvalStats {
-            rounds: 5,
-            evals: 4,
-            repushes: 1,
-            dirty: 3,
-        };
-        a.absorb(&b);
-        assert_eq!(
-            a,
-            EvalStats {
-                rounds: 5,
-                evals: 14,
-                repushes: 3,
-                dirty: 10,
-            }
-        );
-        assert_eq!(a.evals_per_round(), 14.0 / 5.0);
-        assert_eq!(EvalStats::default().evals_per_round(), 0.0);
     }
 
     #[test]

@@ -15,11 +15,8 @@
 //!   submodular coverage).
 //! - [`greedy_max_cover_bucket`] — bucket-queue greedy with the linear-time
 //!   bound of \[3\]'s Step 2.
-//! - [`greedy_max_cover_sharded`] — the lazy-heap contract parallelized
-//!   across worker threads (see [`sharded`]), **byte-identical** to
-//!   [`greedy_max_cover_indexed`] at any thread count. Each worker finds
-//!   its local argmax with a CELF-style lazy heap and dirty-node
-//!   invalidation; [`EvalStats`] counts the algorithmic work.
+//! - [`greedy_max_cover_indexed_stats`] — the lazy-heap solver plus its
+//!   [`EvalStats`] work counters (rounds, gain evaluations, re-pushes).
 //!
 //! The heap and bucket solvers return identical coverage values
 //! (tie-breaking may differ); the criterion bench `max_cover` compares
@@ -42,7 +39,6 @@
 mod collection;
 mod greedy;
 mod mmap_sets;
-pub mod sharded;
 mod store;
 
 pub use collection::{build_inverted_index, count_covered_indexed, SetCollection, SetsAccess};
@@ -51,8 +47,4 @@ pub use greedy::{
     greedy_max_cover_indexed, greedy_max_cover_indexed_stats, CoverResult, EvalStats,
 };
 pub use mmap_sets::{MmapSets, MmapSetsLayout, SETS_SECTION_COUNT, SETS_SECTION_NAMES};
-pub use sharded::{
-    greedy_max_cover_sharded, greedy_max_cover_sharded_indexed,
-    greedy_max_cover_sharded_indexed_stats,
-};
 pub use store::{SetsStore, SetsView};

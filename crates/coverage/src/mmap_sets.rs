@@ -420,7 +420,6 @@ impl SetsAccess for MmapSets {
 mod tests {
     use super::*;
     use crate::greedy::{greedy_max_cover_bucket_indexed, greedy_max_cover_indexed};
-    use crate::sharded::greedy_max_cover_sharded_indexed;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -545,13 +544,6 @@ mod tests {
                 greedy_max_cover_bucket_indexed(&c, k),
                 "trial {trial} bucket solver"
             );
-            for threads in [2, 4] {
-                assert_eq!(
-                    greedy_max_cover_sharded_indexed(&m, k, threads),
-                    greedy_max_cover_sharded_indexed(&c, k, threads),
-                    "trial {trial} sharded x{threads}"
-                );
-            }
             std::fs::remove_file(&path).ok();
         }
     }

@@ -1,8 +1,10 @@
-//! Error type for pool persistence and provenance validation.
+//! Error type for pool persistence, provenance validation and planning.
 
 use std::fmt;
+use tim_core::math::SampleCountError;
 
-/// Errors raised while loading, saving, or validating RR-set pools.
+/// Errors raised while loading, saving, or validating RR-set pools, or
+/// while planning a query whose ε/ℓ no pool can serve.
 #[derive(Debug)]
 pub enum EngineError {
     /// Underlying I/O failure.
@@ -13,6 +15,8 @@ pub enum EngineError {
     /// A structurally valid pool does not match the graph or configuration
     /// it is being attached to (wrong graph checksum, model, seed, …).
     Mismatch(String),
+    /// The query's ε/ℓ ask for more RR sets than a pool can hold.
+    SampleCount(SampleCountError),
 }
 
 impl fmt::Display for EngineError {
@@ -21,6 +25,7 @@ impl fmt::Display for EngineError {
             EngineError::Io(e) => write!(f, "i/o error: {e}"),
             EngineError::Format(m) => write!(f, "pool format error: {m}"),
             EngineError::Mismatch(m) => write!(f, "pool provenance mismatch: {m}"),
+            EngineError::SampleCount(e) => write!(f, "{e}"),
         }
     }
 }
@@ -31,6 +36,12 @@ impl std::error::Error for EngineError {
             EngineError::Io(e) => Some(e),
             _ => None,
         }
+    }
+}
+
+impl From<SampleCountError> for EngineError {
+    fn from(e: SampleCountError) -> Self {
+        EngineError::SampleCount(e)
     }
 }
 

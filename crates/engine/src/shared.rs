@@ -16,6 +16,7 @@
 //! determinism test).
 
 use crate::engine::{QueryEngine, QueryOutcome};
+use crate::error::EngineError;
 use crate::pool::RrPool;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
@@ -41,7 +42,7 @@ use tim_graph::NodeId;
 ///     .epsilon(1.0)
 ///     .seed(7)
 ///     .k_max(4);
-/// engine.warm();
+/// engine.warm().unwrap();
 /// let shared = Arc::new(SharedEngine::new(engine));
 /// let want = shared.select(3).seeds;
 ///
@@ -105,21 +106,28 @@ impl<M: BackingModel + Clone> SharedEngine<M> {
     /// pool suffices, write lock otherwise.
     ///
     /// # Panics
-    /// Panics if `k == 0`.
+    /// Panics if `k == 0`, or where [`select_with`](Self::select_with)
+    /// would fail.
     pub fn select(&self, k: usize) -> QueryOutcome {
         self.select_with(k, None, None)
+            .unwrap_or_else(|e| panic!("select: {e}"))
     }
 
     /// [`QueryEngine::select_with`] with the same read-fast-path /
     /// write-upgrade split as [`select`](Self::select).
-    pub fn select_with(&self, k: usize, eps: Option<f64>, ell: Option<f64>) -> QueryOutcome {
+    pub fn select_with(
+        &self,
+        k: usize,
+        eps: Option<f64>,
+        ell: Option<f64>,
+    ) -> Result<QueryOutcome, EngineError> {
         if let Some(out) = self
             .inner
             .read()
             .expect(POISONED)
             .try_select_with(k, eps, ell)
         {
-            return out;
+            return Ok(out);
         }
         // Upgrade. Another writer may have satisfied the query in between;
         // the mutable path re-checks and is deterministic, so recomputing
@@ -131,9 +139,9 @@ impl<M: BackingModel + Clone> SharedEngine<M> {
     ///
     /// # Panics
     /// Panics if `k == 0`.
-    pub fn select_fast(&self, k: usize) -> QueryOutcome {
+    pub fn select_fast(&self, k: usize) -> Result<QueryOutcome, EngineError> {
         if let Some(out) = self.inner.read().expect(POISONED).try_select_fast(k) {
-            return out;
+            return Ok(out);
         }
         self.with_growth(|e| e.select_fast(k))
     }
@@ -143,22 +151,22 @@ impl<M: BackingModel + Clone> SharedEngine<M> {
     ///
     /// # Panics
     /// Panics if any seed is outside the graph's node range.
-    pub fn spread(&self, seeds: &[NodeId]) -> f64 {
+    pub fn spread(&self, seeds: &[NodeId]) -> Result<f64, EngineError> {
         if let Some(s) = self.inner.read().expect(POISONED).try_spread(seeds) {
-            return s;
+            return Ok(s);
         }
         self.with_growth(|e| e.spread(seeds))
     }
 
     /// [`QueryEngine::marginal_gain`] with the read-fast-path split.
-    pub fn marginal_gain(&self, base: &[NodeId], candidate: NodeId) -> f64 {
+    pub fn marginal_gain(&self, base: &[NodeId], candidate: NodeId) -> Result<f64, EngineError> {
         if let Some(m) = self
             .inner
             .read()
             .expect(POISONED)
             .try_marginal_gain(base, candidate)
         {
-            return m;
+            return Ok(m);
         }
         self.with_growth(|e| e.marginal_gain(base, candidate))
     }
@@ -179,8 +187,9 @@ impl<M: BackingModel + Clone> SharedEngine<M> {
     }
 
     /// Warms the pool ([`QueryEngine::warm`]) under the write lock and
-    /// returns the resulting θ.
-    pub fn warm(&self) -> u64 {
+    /// returns the resulting θ, or the planning error that left it as it
+    /// was.
+    pub fn warm(&self) -> Result<u64, EngineError> {
         self.with_growth(|e| e.warm())
     }
 
@@ -282,7 +291,7 @@ mod tests {
             .seed(seed)
             .threads(2)
             .k_max(8);
-        engine.warm();
+        engine.warm().unwrap();
         SharedEngine::new(engine)
     }
 
@@ -301,17 +310,20 @@ mod tests {
             .seed(3)
             .threads(2)
             .k_max(8);
-        exclusive.warm();
+        exclusive.warm().unwrap();
         for k in [1usize, 4, 8] {
             assert_eq!(s.select(k).seeds, exclusive.select(k).seeds, "k = {k}");
         }
         let seeds = s.select(4).seeds;
-        assert_eq!(s.spread(&seeds), exclusive.spread(&seeds));
+        assert_eq!(s.spread(&seeds).unwrap(), exclusive.spread(&seeds).unwrap());
         assert_eq!(
-            s.marginal_gain(&seeds, 99),
-            exclusive.marginal_gain(&seeds, 99)
+            s.marginal_gain(&seeds, 99).unwrap(),
+            exclusive.marginal_gain(&seeds, 99).unwrap()
         );
-        assert_eq!(s.select_fast(3).seeds, exclusive.select_fast(3).seeds);
+        assert_eq!(
+            s.select_fast(3).unwrap().seeds,
+            exclusive.select_fast(3).unwrap().seeds
+        );
         assert_eq!(s.pool_theta(), exclusive.pool_theta());
     }
 
@@ -348,9 +360,9 @@ mod tests {
         // (plan caching, fast-cover build), which must not happen while a
         // read handle is held.
         let want = s.select(3);
-        let fast = s.select_fast(2).seeds;
-        let spread = s.spread(&want.seeds);
-        let gain = s.marginal_gain(&want.seeds, 9);
+        let fast = s.select_fast(2).unwrap().seeds;
+        let spread = s.spread(&want.seeds).unwrap();
+        let gain = s.marginal_gain(&want.seeds, 9).unwrap();
         let theta = s.pool_theta();
 
         let handle = s.read_handle();
@@ -374,16 +386,16 @@ mod tests {
         // Warm-pool queries (reads and write-path plan caching) never
         // bump the epoch.
         s.select(3);
-        s.select_fast(2);
-        s.spread(&[0, 1]);
-        s.marginal_gain(&[0], 5);
+        s.select_fast(2).unwrap();
+        s.spread(&[0, 1]).unwrap();
+        s.marginal_gain(&[0], 5).unwrap();
         assert_eq!(s.growth_epoch(), 0, "no growth, no epoch bump");
         // A tighter ε forces a resample through the write path.
-        let out = s.select_with(3, Some(0.1), None);
+        let out = s.select_with(3, Some(0.1), None).unwrap();
         assert!(out.resampled);
         assert_eq!(s.growth_epoch(), 1);
         // The same query again answers from the grown pool.
-        s.select_with(3, Some(0.1), None);
+        s.select_with(3, Some(0.1), None).unwrap();
         assert_eq!(s.growth_epoch(), 1);
     }
 
@@ -399,7 +411,7 @@ mod tests {
         let out = s.select(2);
         assert!(out.resampled, "cold pool must resample");
         assert!(s.pool_theta() > 0);
-        assert!(s.spread(&out.seeds) > 0.0);
+        assert!(s.spread(&out.seeds).unwrap() > 0.0);
         let pool = s.to_pool();
         assert_eq!(pool.meta.theta, s.pool_theta());
     }

@@ -24,7 +24,7 @@ fn warm_engine() -> QueryEngine<IndependentCascade> {
         .ell(ELL)
         .seed(SEED)
         .k_max(K);
-    e.warm();
+    e.warm().unwrap();
     e
 }
 
@@ -76,14 +76,14 @@ fn resample_happens_exactly_when_theta_demands_it() {
     let warm_theta = engine.pool_theta();
 
     // Looser epsilon: smaller theta, no resample.
-    let loose = engine.select_with(K, Some(EPS * 1.5), None);
+    let loose = engine.select_with(K, Some(EPS * 1.5), None).unwrap();
     assert!(!loose.resampled);
     assert!(loose.theta_used <= warm_theta);
 
     // Much tighter epsilon (theta scales as eps^-2, so ~144x): the pool
     // must grow and still match a fresh run at that epsilon.
     let tight_eps = EPS / 12.0;
-    let tight = engine.select_with(K, Some(tight_eps), None);
+    let tight = engine.select_with(K, Some(tight_eps), None).unwrap();
     assert_eq!(tight.resampled, tight.theta_used > warm_theta);
     assert!(tight.resampled, "a 144x theta demand must resample");
     assert!(engine.pool_theta() >= tight.theta_used);
@@ -113,7 +113,7 @@ fn exactness_holds_under_the_lt_model_too() {
         .epsilon(0.7)
         .seed(9)
         .k_max(8);
-    engine.warm();
+    engine.warm().unwrap();
     for k in [1usize, 4, 8] {
         let fresh = TimPlus::new(LinearThreshold)
             .epsilon(0.7)
@@ -127,7 +127,7 @@ fn exactness_holds_under_the_lt_model_too() {
 fn fast_mode_spread_is_competitive_with_exact_mode() {
     let mut engine = warm_engine();
     let exact = engine.select(K);
-    let fast = engine.select_fast(K);
+    let fast = engine.select_fast(K).unwrap();
     assert_eq!(fast.seeds.len(), K);
     // Both are greedy runs over >= the required theta; their coverage
     // estimates must land close to each other.

@@ -124,9 +124,6 @@ pub struct GraphOverrides {
     /// restore this tenant's persisted `.timp` v2 pools as zero-copy
     /// read-only mappings instead of decoding them onto the heap.
     pub mmap_pools: Option<bool>,
-    /// Greedy-selection thread override (`select_threads=4`; 0 = all
-    /// cores). Never changes answers, only per-query latency.
-    pub select_threads: Option<usize>,
 }
 
 impl GraphOverrides {
@@ -230,19 +227,9 @@ impl GraphOverrides {
                     return Err(dup(key));
                 }
             }
-            "select_threads" => {
-                let v: usize = value.parse().map_err(|_| {
-                    bad(format!(
-                        "select_threads override '{value}' must be a thread count (0 = all cores)"
-                    ))
-                })?;
-                if self.select_threads.replace(v).is_some() {
-                    return Err(dup(key));
-                }
-            }
             other => {
                 return Err(bad(format!(
-                "unknown graph override '{other}' (known: model, eps, ell, seed, k, weights, mmap, mmap_pools, select_threads)"
+                "unknown graph override '{other}' (known: model, eps, ell, seed, k, weights, mmap, mmap_pools)"
             )))
             }
         }
@@ -374,7 +361,7 @@ mod tests {
     #[test]
     fn overrides_parse_validate_and_reject() {
         let o = GraphOverrides::parse(
-            "model=lt,eps=0.2,ell=2,seed=9,k=20,weights=lt,mmap=on,mmap_pools=on,select_threads=4",
+            "model=lt,eps=0.2,ell=2,seed=9,k=20,weights=lt,mmap=on,mmap_pools=on",
         )
         .unwrap();
         assert_eq!(o.model.as_deref(), Some("lt"));
@@ -385,17 +372,10 @@ mod tests {
         assert_eq!(o.weights.as_deref(), Some("lt"));
         assert_eq!(o.mmap, Some(true));
         assert_eq!(o.mmap_pools, Some(true));
-        assert_eq!(o.select_threads, Some(4));
         assert_eq!(GraphOverrides::parse("mmap=off").unwrap().mmap, Some(false));
         assert_eq!(
             GraphOverrides::parse("mmap_pools=off").unwrap().mmap_pools,
             Some(false)
-        );
-        assert_eq!(
-            GraphOverrides::parse("select_threads=0")
-                .unwrap()
-                .select_threads,
-            Some(0)
         );
         assert!(!o.is_empty());
         assert!(GraphOverrides::parse("").unwrap().is_empty());
@@ -404,7 +384,9 @@ mod tests {
             "eps=0",
             "eps=-1",
             "eps=NaN",
+            "eps=inf",
             "ell=0",
+            "ell=inf",
             "seed=x",
             "k=0",
             "model=",
@@ -416,10 +398,9 @@ mod tests {
             "mmap=on,mmap=off",
             "mmap_pools=maybe",
             "mmap_pools=on,mmap_pools=off",
-            "select_threads=x",
-            "select_threads=2,select_threads=4",
-            // The removed selection-strategy knob is an unknown key.
+            // The removed selection knobs are unknown keys.
             "select_strategy=lazy",
+            "select_threads=4",
         ] {
             assert!(GraphOverrides::parse(bad).is_err(), "{bad:?} accepted");
         }

@@ -344,6 +344,10 @@ impl<M: BackingModel + Clone> PoolCache<M> {
         let Some(store) = &self.store else {
             return false;
         };
+        // A cold engine (its warm-up failed) has no pool to keep.
+        if engine.pool_theta() == 0 {
+            return false;
+        }
         // One spill at a time: epoch-read, snapshot, disk write, and the
         // epoch record must not interleave with another spill of the
         // same key, or the older snapshot could land on disk last while
@@ -402,7 +406,9 @@ impl<M: BackingModel + Clone> PoolCache<M> {
             return;
         }
         let Some(store) = &self.store else { return };
-        let Some(engine) = evicted.engine else { return };
+        let Some(engine) = evicted.engine.filter(|e| e.pool_theta() > 0) else {
+            return;
+        };
         // Same serialization as spill_entry: the farewell snapshot must
         // not land on disk after a newer spill of the same provenance.
         let _serialized = self.spill_lock.lock().expect(POISONED);
@@ -570,7 +576,7 @@ mod tests {
             .epsilon(eps)
             .threads(1)
             .k_max(2);
-        engine.warm();
+        engine.warm().unwrap();
         SharedEngine::new(engine)
     }
 
@@ -782,7 +788,7 @@ mod tests {
 
         // Growth falls back to the heap and re-dirties the slot; the
         // explicit persist spills the grown pool as a fresh v2 file.
-        engine.select_with(2, Some(0.3), None);
+        engine.select_with(2, Some(0.3), None).unwrap();
         assert_eq!(cache2.spill_dirty(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -796,7 +802,7 @@ mod tests {
         let e = cache.get_or_load(&k1, |p| restore(&g, p), || cheap_engine(&g, 1.0));
         assert_eq!(cache.stats().spills, 1, "write-through at build");
         // Grow the pool past what was spilled.
-        assert!(e.select_with(2, Some(0.3), None).resampled);
+        assert!(e.select_with(2, Some(0.3), None).unwrap().resampled);
         assert_eq!(e.growth_epoch(), 1);
         let theta_grown = e.pool_theta();
 
@@ -824,6 +830,27 @@ mod tests {
     }
 
     #[test]
+    fn cold_engines_are_never_spilled() {
+        // A warm-up refused for its sample count leaves the engine cold:
+        // there is no pool to write at build, on sync, or on eviction.
+        let g = graph();
+        let (dir, store) = tmp_store("cold");
+        let cache = PoolCache::with_store(1, Arc::clone(&store), true, false);
+        let cold = || SharedEngine::new(QueryEngine::new(Arc::clone(&g), IndependentCascade, "ic"));
+        cache.get_or_load(&true_key(&g, 0.1), |p| restore(&g, p), cold);
+        assert_eq!(cache.spill_dirty(), 0);
+        cache.get_or_load(
+            &true_key(&g, 1.0),
+            |p| restore(&g, p),
+            || cheap_engine(&g, 1.0),
+        );
+        assert_eq!(cache.stats().evictions, 1);
+        assert_eq!(cache.stats().spills, 1, "only the warm engine is written");
+        assert_eq!(store.len(), 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn spill_dirty_persists_growth_even_without_auto_writeback() {
         let g = graph();
         let (dir, store) = tmp_store("dirty");
@@ -838,7 +865,7 @@ mod tests {
         assert_eq!(store.len(), 1);
         assert_eq!(cache.spill_dirty(), 0, "already clean");
         // Growth re-dirties it.
-        e.select_with(2, Some(0.3), None);
+        e.select_with(2, Some(0.3), None).unwrap();
         assert_eq!(cache.spill_dirty(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -934,7 +961,7 @@ mod tests {
         assert_eq!(cache.stats().spills, 1, "one write of one pool epoch");
 
         // Growth re-dirties the pool, and the same call writes it.
-        engine.select_with(2, Some(0.3), None);
+        engine.select_with(2, Some(0.3), None).unwrap();
         assert!(cache.spill_entry(&k, &entry, &engine));
         assert_eq!(cache.stats().spills, 2);
         std::fs::remove_dir_all(&dir).ok();

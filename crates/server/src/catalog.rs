@@ -208,12 +208,13 @@ impl<M: BackingModel + Send + Clone + 'static> GraphState<M> {
         .epsilon(eps)
         .ell(ell)
         .seed(self.config.seed)
-        .k_max(self.config.k_max)
-        .select_threads(self.config.select_threads);
+        .k_max(self.config.k_max);
         if self.config.sample_threads > 0 {
             engine = engine.threads(self.config.sample_threads);
         }
-        engine.warm();
+        // ε/ℓ that ask for more RR sets than a pool can hold leave the
+        // pool cold; each query on it then answers that error instead.
+        let _ = engine.warm();
         SharedEngine::new(engine)
     }
 
@@ -238,7 +239,6 @@ impl<M: BackingModel + Send + Clone + 'static> GraphState<M> {
             ),
         }
         .map_err(|e| e.to_string())?;
-        engine = engine.select_threads(self.config.select_threads);
         if self.config.sample_threads > 0 {
             engine = engine.threads(self.config.sample_threads);
         }
@@ -731,9 +731,6 @@ impl<M: BackingModel + Send + Clone + 'static> GraphCatalog<M> {
         }
         if let Some(mmap_pools) = overrides.mmap_pools {
             config.mmap_pools = mmap_pools;
-        }
-        if let Some(t) = overrides.select_threads {
-            config.select_threads = t;
         }
         Arc::new(config)
     }

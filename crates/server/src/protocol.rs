@@ -38,7 +38,7 @@
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read};
 use tim_diffusion::BackingModel;
-use tim_engine::{QueryEngine, QueryOutcome, SharedEngine};
+use tim_engine::{EngineError, QueryEngine, QueryOutcome, SharedEngine};
 use tim_graph::NodeId;
 
 /// Protocol version implemented by this module (see `docs/PROTOCOL.md`).
@@ -218,13 +218,19 @@ pub fn parse_query(line: &str) -> ParsedLine {
             if fast && (eps.is_some() || ell.is_some()) {
                 return Err("select: fast mode uses the pool's eps/ell".into());
             }
-            // NaN must be rejected alongside non-positive values: the
-            // engine asserts eps > 0, and a panic would kill the session.
-            if let Some(e) = eps.filter(|&e: &f64| e.is_nan() || e <= 0.0) {
-                return Err(format!("select: eps must be positive, got '{e}'"));
+            // NaN and infinity must be rejected alongside non-positive
+            // values: the engine asserts eps > 0 (a panic would kill the
+            // session), and an infinite one plans from a NaN λ.
+            let bad = |v: f64| !(v.is_finite() && v > 0.0);
+            if let Some(e) = eps.filter(|&e| bad(e)) {
+                return Err(format!(
+                    "select: eps must be positive and finite, got '{e}'"
+                ));
             }
-            if let Some(l) = ell.filter(|&l: &f64| l.is_nan() || l <= 0.0) {
-                return Err(format!("select: ell must be positive, got '{l}'"));
+            if let Some(l) = ell.filter(|&l| bad(l)) {
+                return Err(format!(
+                    "select: ell must be positive and finite, got '{l}'"
+                ));
             }
             Ok(Query::Select { k, fast, eps, ell })
         })(),
@@ -664,44 +670,61 @@ impl<R: Read> CappedLineReader<R> {
 /// Engine access as the protocol needs it — implemented by an exclusive
 /// [`QueryEngine`] (`tim query`) and by shared references to a
 /// [`SharedEngine`] (`tim serve`), so both front ends execute queries
-/// through the very same [`execute`].
+/// through the very same [`execute`]. Every call fails, instead of
+/// sampling, when the query's ε/ℓ ask for more RR sets than a pool can
+/// hold.
 pub trait QueryBackend {
     /// Exact-replay seed selection with optional ε/ℓ overrides.
-    fn select_with(&mut self, k: usize, eps: Option<f64>, ell: Option<f64>) -> QueryOutcome;
+    fn select_with(
+        &mut self,
+        k: usize,
+        eps: Option<f64>,
+        ell: Option<f64>,
+    ) -> Result<QueryOutcome, EngineError>;
     /// Prefix answering over the full pool.
-    fn select_fast(&mut self, k: usize) -> QueryOutcome;
+    fn select_fast(&mut self, k: usize) -> Result<QueryOutcome, EngineError>;
     /// Pool-coverage spread estimate of `seeds` (dense ids).
-    fn spread(&mut self, seeds: &[NodeId]) -> f64;
+    fn spread(&mut self, seeds: &[NodeId]) -> Result<f64, EngineError>;
     /// Marginal spread gain of adding `candidate` to `base` (dense ids).
-    fn marginal_gain(&mut self, base: &[NodeId], candidate: NodeId) -> f64;
+    fn marginal_gain(&mut self, base: &[NodeId], candidate: NodeId) -> Result<f64, EngineError>;
 }
 
 impl<M: BackingModel + Clone> QueryBackend for QueryEngine<M> {
-    fn select_with(&mut self, k: usize, eps: Option<f64>, ell: Option<f64>) -> QueryOutcome {
+    fn select_with(
+        &mut self,
+        k: usize,
+        eps: Option<f64>,
+        ell: Option<f64>,
+    ) -> Result<QueryOutcome, EngineError> {
         QueryEngine::select_with(self, k, eps, ell)
     }
-    fn select_fast(&mut self, k: usize) -> QueryOutcome {
+    fn select_fast(&mut self, k: usize) -> Result<QueryOutcome, EngineError> {
         QueryEngine::select_fast(self, k)
     }
-    fn spread(&mut self, seeds: &[NodeId]) -> f64 {
+    fn spread(&mut self, seeds: &[NodeId]) -> Result<f64, EngineError> {
         QueryEngine::spread(self, seeds)
     }
-    fn marginal_gain(&mut self, base: &[NodeId], candidate: NodeId) -> f64 {
+    fn marginal_gain(&mut self, base: &[NodeId], candidate: NodeId) -> Result<f64, EngineError> {
         QueryEngine::marginal_gain(self, base, candidate)
     }
 }
 
 impl<M: BackingModel + Clone> QueryBackend for &SharedEngine<M> {
-    fn select_with(&mut self, k: usize, eps: Option<f64>, ell: Option<f64>) -> QueryOutcome {
+    fn select_with(
+        &mut self,
+        k: usize,
+        eps: Option<f64>,
+        ell: Option<f64>,
+    ) -> Result<QueryOutcome, EngineError> {
         SharedEngine::select_with(self, k, eps, ell)
     }
-    fn select_fast(&mut self, k: usize) -> QueryOutcome {
+    fn select_fast(&mut self, k: usize) -> Result<QueryOutcome, EngineError> {
         SharedEngine::select_fast(self, k)
     }
-    fn spread(&mut self, seeds: &[NodeId]) -> f64 {
+    fn spread(&mut self, seeds: &[NodeId]) -> Result<f64, EngineError> {
         SharedEngine::spread(self, seeds)
     }
-    fn marginal_gain(&mut self, base: &[NodeId], candidate: NodeId) -> f64 {
+    fn marginal_gain(&mut self, base: &[NodeId], candidate: NodeId) -> Result<f64, EngineError> {
         SharedEngine::marginal_gain(self, base, candidate)
     }
 }
@@ -742,6 +765,10 @@ pub fn execute<B: QueryBackend>(backend: &mut B, labels: &LabelMap, query: &Quer
             } else {
                 backend.select_with(*k, *eps, *ell)
             };
+            let outcome = match outcome {
+                Ok(outcome) => outcome,
+                Err(e) => return Reply::error(format!("select: {e}")),
+            };
             let note = format!(
                 "select k={k}: theta = {}{}",
                 outcome.theta_used,
@@ -762,7 +789,10 @@ pub fn execute<B: QueryBackend>(backend: &mut B, labels: &LabelMap, query: &Quer
             }
         }
         Query::Eval { seeds } => match labels.map_all(seeds) {
-            Ok(dense) => Reply::answer(format!("spread: {:.2}", backend.spread(&dense))),
+            Ok(dense) => match backend.spread(&dense) {
+                Ok(spread) => Reply::answer(format!("spread: {spread:.2}")),
+                Err(e) => Reply::error(format!("eval: {e}")),
+            },
             Err(e) => Reply::error(e),
         },
         Query::Marginal { base, cand } => {
@@ -771,9 +801,10 @@ pub fn execute<B: QueryBackend>(backend: &mut B, labels: &LabelMap, query: &Quer
                 .and_then(|b| labels.map_all(cand).map(|c| (b, c)));
             match mapped {
                 Ok((base, cand)) => match cand.as_slice() {
-                    &[c] => {
-                        Reply::answer(format!("marginal: {:.2}", backend.marginal_gain(&base, c)))
-                    }
+                    &[c] => match backend.marginal_gain(&base, c) {
+                        Ok(gain) => Reply::answer(format!("marginal: {gain:.2}")),
+                        Err(e) => Reply::error(format!("marginal: {e}")),
+                    },
                     _ => Reply::error("marginal: candidate must be a single id".into()),
                 },
                 Err(e) => Reply::error(e),
@@ -814,7 +845,7 @@ mod tests {
             .seed(3)
             .threads(2)
             .k_max(5);
-        e.warm();
+        e.warm().unwrap();
         (e, LabelMap::identity(n))
     }
 
@@ -864,6 +895,9 @@ mod tests {
             ("select 2 ell=z", "bad ell"),
             ("select 2 eps=-1", "eps must be positive"),
             ("select 2 ell=0", "ell must be positive"),
+            ("select 2 eps=inf", "eps must be positive and finite"),
+            ("select 2 ell=inf", "ell must be positive and finite"),
+            ("select 2 ell=-inf", "ell must be positive and finite"),
             ("select 2 fast eps=0.5", "fast mode uses the pool's eps/ell"),
             ("eval", "missing seed list"),
             ("eval 1 2", "trailing tokens"),
@@ -914,6 +948,30 @@ mod tests {
             .unwrap()
             .line
             .contains("candidate must be a single id"));
+    }
+
+    #[test]
+    fn out_of_range_sample_counts_answer_errors_and_the_engine_goes_on() {
+        // ℓ = 1e300 overflows KPT's c_i and ε = 1e-12 refinement's θ′;
+        // both must answer before any sampling, leaving the engine whole.
+        let (mut e, labels) = backend();
+        for (line, needle) in [
+            ("select 2 ell=1e300", "c_i = "),
+            ("select 2 eps=1e-12", "theta' = "),
+        ] {
+            let reply = handle_line(&mut e, &labels, line).unwrap().line;
+            assert!(reply.starts_with("error: select: "), "{line}: {reply}");
+            assert!(reply.contains(needle), "{line}: {reply}");
+            assert!(reply.contains("pool limit"), "{line}: {reply}");
+            assert_eq!(
+                handle_line(&mut e, &labels, "ping").unwrap().line,
+                "pong tim/3"
+            );
+        }
+        assert!(handle_line(&mut e, &labels, "select 2")
+            .unwrap()
+            .line
+            .starts_with("seeds: "));
     }
 
     #[test]

@@ -51,10 +51,6 @@ pub struct ServerConfig {
     pub k_max: usize,
     /// Sampling threads per pool build; 0 means all cores (default 0).
     pub sample_threads: usize,
-    /// Worker threads for the greedy selection phase of each query;
-    /// 0 means all cores (default 1 = serial). The sharded solver is
-    /// byte-identical to the serial one, so this never changes answers.
-    pub select_threads: usize,
     /// Log per-query progress notes to stderr (default false).
     pub verbose: bool,
     /// Weight-model spec applied to lazily loaded catalog graphs
@@ -121,7 +117,6 @@ impl Default for ServerConfig {
             seed: 0,
             k_max: 50,
             sample_threads: 0,
-            select_threads: 1,
             verbose: false,
             weights: "wc".to_string(),
             undirected: false,

@@ -38,7 +38,7 @@ use crate::protocol::{
 use crate::server::ServerState;
 use std::sync::Arc;
 use tim_diffusion::BackingModel;
-use tim_engine::{EngineReadGuard, QueryOutcome, SharedEngine};
+use tim_engine::{EngineError, EngineReadGuard, QueryOutcome, SharedEngine};
 use tim_graph::NodeId;
 
 /// A pending `batch <n>`: lines collected so far, with their byte total
@@ -426,34 +426,39 @@ impl<'e, M: BackingModel + Clone> BatchBackend<'e, M> {
 }
 
 impl<M: BackingModel + Clone> QueryBackend for BatchBackend<'_, M> {
-    fn select_with(&mut self, k: usize, eps: Option<f64>, ell: Option<f64>) -> QueryOutcome {
+    fn select_with(
+        &mut self,
+        k: usize,
+        eps: Option<f64>,
+        ell: Option<f64>,
+    ) -> Result<QueryOutcome, EngineError> {
         if let Some(out) = self.guard().try_select_with(k, eps, ell) {
-            return out;
+            return Ok(out);
         }
         // Must not hold the read lock across the blocking (write) path.
         self.guard = None;
         self.engine.select_with(k, eps, ell)
     }
 
-    fn select_fast(&mut self, k: usize) -> QueryOutcome {
+    fn select_fast(&mut self, k: usize) -> Result<QueryOutcome, EngineError> {
         if let Some(out) = self.guard().try_select_fast(k) {
-            return out;
+            return Ok(out);
         }
         self.guard = None;
         self.engine.select_fast(k)
     }
 
-    fn spread(&mut self, seeds: &[NodeId]) -> f64 {
+    fn spread(&mut self, seeds: &[NodeId]) -> Result<f64, EngineError> {
         if let Some(s) = self.guard().try_spread(seeds) {
-            return s;
+            return Ok(s);
         }
         self.guard = None;
         self.engine.spread(seeds)
     }
 
-    fn marginal_gain(&mut self, base: &[NodeId], candidate: NodeId) -> f64 {
+    fn marginal_gain(&mut self, base: &[NodeId], candidate: NodeId) -> Result<f64, EngineError> {
         if let Some(m) = self.guard().try_marginal_gain(base, candidate) {
-            return m;
+            return Ok(m);
         }
         self.guard = None;
         self.engine.marginal_gain(base, candidate)

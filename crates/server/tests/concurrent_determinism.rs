@@ -41,7 +41,7 @@ fn serial_replay(lines: &[String]) -> Vec<String> {
         .seed(cfg.seed)
         .threads(cfg.sample_threads)
         .k_max(cfg.k_max);
-    engine.warm();
+    engine.warm().unwrap();
     lines
         .iter()
         .filter_map(|l| protocol::handle_line(&mut engine, &labels, l).map(|r| r.line))
@@ -161,4 +161,84 @@ fn pool_growth_keeps_exact_replay_byte_identical() {
         assert_eq!(expect, sorted_want);
     }
     handle.stop();
+}
+
+/// Serves a v2 snapshot of a weighted BA graph (sparse `v*10+3` labels)
+/// from the heap or zero-copy mapped, with a small warm pool.
+fn snapshot_server(path: &std::path::Path, mmap: bool) -> tim_server::ServerHandle {
+    let config = ServerConfig {
+        threads: 2,
+        epsilon: 1.0,
+        seed: 5,
+        k_max: 4,
+        sample_threads: 1,
+        // Both backings serve the probabilities baked into the snapshot.
+        weights: "keep".to_string(),
+        mmap,
+        ..ServerConfig::default()
+    };
+    let catalog = tim_server::GraphCatalog::new(IndependentCascade, "ic", config);
+    catalog.add_path("g", path).unwrap();
+    let state = Arc::new(ServerState::from_catalog(catalog, "g").unwrap());
+    Server::bind(state, "127.0.0.1:0").unwrap().start()
+}
+
+#[test]
+fn pool_growth_race_mid_session_stays_deterministic() {
+    // Client A forces pool growth mid-session (ε tightens 1.0 → 0.35, a
+    // ~8x θ demand, exercising the SharedEngine write upgrade) while
+    // client B hammers warm-pool queries on a second connection. Each
+    // client's transcript must match the same sessions run one after
+    // the other on the heap backing — on both backings.
+    let dir = std::env::temp_dir().join(format!("tim_growth_race_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("g.timg");
+    let mut g = gen::barabasi_albert(150, 3, 0.0, 3);
+    weights::assign_weighted_cascade(&mut g);
+    let labels: Vec<u64> = (0..g.n() as u64).map(|v| v * 10 + 3).collect();
+    tim_graph::snapshot::save_snapshot_v2(&g, &labels, &path).unwrap();
+
+    let a_mix: Vec<String> = [
+        "select 3",
+        "select 4 eps=0.35", // grows the pool mid-session
+        "select 2",
+        "select 3 eps=0.35",
+        "eval 3,13",
+    ]
+    .iter()
+    .map(|s| s.to_string())
+    .collect();
+    let b_mix: Vec<String> = [
+        "select 2",
+        "marginal 3,13 23",
+        "select 2 fast",
+        "eval 3,13,23",
+        "select 4",
+    ]
+    .iter()
+    .map(|s| s.to_string())
+    .collect();
+
+    let handle = snapshot_server(&path, false);
+    let a_want = run_client(handle.addr(), &a_mix);
+    let b_want = run_client(handle.addr(), &b_mix);
+    handle.stop();
+    assert!(a_want.iter().all(|l| !l.starts_with("error")), "{a_want:?}");
+
+    for mmap in [false, true] {
+        let handle = snapshot_server(&path, mmap);
+        let addr = handle.addr();
+        let a = {
+            let a_mix = a_mix.clone();
+            std::thread::spawn(move || run_client(addr, &a_mix))
+        };
+        let b = {
+            let b_mix = b_mix.clone();
+            std::thread::spawn(move || run_client(addr, &b_mix))
+        };
+        assert_eq!(a.join().unwrap(), a_want, "mmap={mmap}: grower diverged");
+        assert_eq!(b.join().unwrap(), b_want, "mmap={mmap}: reader diverged");
+        handle.stop();
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

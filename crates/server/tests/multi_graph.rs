@@ -96,7 +96,7 @@ fn serial_replay(dir: &std::path::Path, i: u64, lines: &[&str]) -> Vec<String> {
         .seed(cfg.seed)
         .threads(cfg.sample_threads)
         .k_max(cfg.k_max);
-    engine.warm();
+    engine.warm().unwrap();
     lines
         .iter()
         .filter_map(|l| protocol::handle_line(&mut engine, &labels, l).map(|r| r.line))

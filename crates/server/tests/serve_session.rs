@@ -9,6 +9,15 @@ use tim_graph::{gen, weights};
 use tim_server::{LabelMap, Server, ServerConfig, ServerHandle, ServerState};
 
 fn start(pool_cache: usize) -> (Arc<ServerState<IndependentCascade>>, ServerHandle) {
+    start_core(pool_cache, false)
+}
+
+/// [`start`] on the thread-pool core or, with `event_loop`, the epoll
+/// reactor.
+fn start_core(
+    pool_cache: usize,
+    event_loop: bool,
+) -> (Arc<ServerState<IndependentCascade>>, ServerHandle) {
     let mut g = gen::barabasi_albert(150, 3, 0.0, 2);
     weights::assign_weighted_cascade(&mut g);
     let labels = LabelMap::identity(g.n());
@@ -25,6 +34,7 @@ fn start(pool_cache: usize) -> (Arc<ServerState<IndependentCascade>>, ServerHand
             seed: 5,
             k_max: 4,
             sample_threads: 1,
+            event_loop,
             ..ServerConfig::default()
         },
     ));
@@ -139,4 +149,38 @@ fn many_sequential_connections_are_served() {
         assert_eq!(session(addr, "select 3\n"), first);
     }
     handle.stop();
+}
+
+/// ε/ℓ values that are infinite, or ask for more RR sets than a pool can
+/// hold, each followed by a `ping` and finally a valid select.
+const EXTREME_EPS_ELL: &str = "select 2 ell=inf\nping\nselect 2 ell=1e300\nping\n\
+     select 2 eps=1e-12\nping\nselect 2 eps=inf\nping\nselect 2\n";
+
+fn assert_errors_then_pongs(got: &[String]) {
+    assert_eq!(got.len(), 9, "{got:?}");
+    for pair in got[..8].chunks(2) {
+        assert!(pair[0].starts_with("error: select: "), "{got:?}");
+        assert_eq!(pair[1], "pong tim/3", "{got:?}");
+    }
+    assert!(got[8].starts_with("seeds: "), "{got:?}");
+}
+
+#[test]
+fn extreme_eps_and_ell_answer_errors_in_process_and_over_tcp() {
+    for event_loop in [false, true] {
+        if event_loop && !cfg!(target_os = "linux") {
+            continue;
+        }
+        let (state, handle) = start_core(4, event_loop);
+        let mut s = state.session();
+        let mut in_process: Vec<String> = EXTREME_EPS_ELL
+            .lines()
+            .flat_map(|l| s.push_line(l))
+            .collect();
+        in_process.extend(s.finish());
+        assert_errors_then_pongs(&in_process);
+        let over_tcp = session(handle.addr(), EXTREME_EPS_ELL);
+        assert_eq!(over_tcp, in_process, "event_loop={event_loop}");
+        handle.stop();
+    }
 }

@@ -282,41 +282,10 @@ trap - EXIT
 diff out/kick-tires/oc_heap.txt out/kick-tires/oc_serve_answers.txt \
     && echo "mmap-backed serve byte-identical to heap query: OK"
 
-echo "== sharded selection: --select-threads 4 transcript == serial transcript =="
-# Same snapshot, same session, selection sharded across 4 workers (and
-# once with 0 = all cores): the thread count may only change latency —
-# the transcripts must be byte-identical to the serial query run.
-"$TIM" query "$SNAP2" -k 10 --eps 0.3 --seed 7 --weights keep --select-threads 4 < "$SESSION" \
-    > out/kick-tires/sharded_query.txt
-diff out/kick-tires/oc_heap.txt out/kick-tires/sharded_query.txt \
-    && echo "--select-threads 4 query byte-identical to serial: OK"
-"$TIM" query "$SNAP2" -k 10 --eps 0.3 --seed 7 --weights keep --select-threads 0 < "$SESSION" \
-    > out/kick-tires/sharded_query_auto.txt
-diff out/kick-tires/oc_heap.txt out/kick-tires/sharded_query_auto.txt \
-    && echo "--select-threads 0 (all cores) byte-identical to serial: OK"
-# And through a live server over the mmap backing.
-"$TIM" serve "$SNAP2" --addr 127.0.0.1:0 --mmap --select-threads 4 -k 10 --eps 0.3 --seed 7 \
-    > out/kick-tires/sharded_serve.addr 2> out/kick-tires/sharded_serve.log &
-SH_PID=$!
-trap 'kill $SH_PID 2>/dev/null || true' EXIT
-for _ in $(seq 1 100); do
-    grep -q '^listening on ' out/kick-tires/sharded_serve.addr 2>/dev/null && break
-    sleep 0.1
-done
-SH_ADDR=$(sed -n 's/^listening on //p' out/kick-tires/sharded_serve.addr)
-echo "sharded-selection server at $SH_ADDR (pid $SH_PID)"
-"$TIM" client --addr "$SH_ADDR" --timeout 60 < "$SESSION" \
-    > out/kick-tires/sharded_serve_answers.txt
-kill $SH_PID 2>/dev/null || true
-wait $SH_PID 2>/dev/null || true
-trap - EXIT
-diff out/kick-tires/oc_serve_answers.txt out/kick-tires/sharded_serve_answers.txt \
-    && echo "--select-threads 4 serve byte-identical to serial serve: OK"
-
 echo "== unknown flags are rejected =="
 # A removed option or a misspelt flag must fail loudly (exit 2), never be
 # silently ignored.
-for flags in "--select-strategy lazy" "--select-threds 4"; do
+for flags in "--select-strategy lazy" "--select-threads 4" "--select-threds 4"; do
     if "$TIM" query "$SNAP2" $flags < /dev/null 2> out/kick-tires/unknown_flag.log; then
         echo "tim query accepted $flags" >&2
         exit 1
@@ -324,6 +293,28 @@ for flags in "--select-strategy lazy" "--select-threds 4"; do
     grep -q '^error: unknown flag' out/kick-tires/unknown_flag.log \
         && echo "tim query $flags rejected: OK"
 done
+# The removed per-graph selection-thread override is an unknown key.
+if "$TIM" query --graph "g=$SNAP2::select_threads=4" < /dev/null \
+    2> out/kick-tires/unknown_override.log; then
+    echo "tim query accepted ::select_threads=4" >&2
+    exit 1
+fi
+grep -q "unknown graph override 'select_threads'" out/kick-tires/unknown_override.log \
+    && echo "tim query ::select_threads=4 rejected: OK"
+
+echo "== extreme eps/ell answer errors, and the session goes on =="
+# A sample count no pool can hold must be refused before any sampling:
+# an error line, then the next request is still served.
+printf 'select 2 ell=1e300\nping\nselect 2 eps=1e-12\nping\n' \
+    | "$TIM" query "$SNAP2" -k 10 --eps 0.3 --seed 7 --weights keep --quiet \
+    > out/kick-tires/extreme_eps.txt
+if [ "$(grep -c '^error: select: ' out/kick-tires/extreme_eps.txt)" != 2 ] \
+    || [ "$(grep -c '^pong tim/3$' out/kick-tires/extreme_eps.txt)" != 2 ]; then
+    echo "extreme eps/ell session went wrong:" >&2
+    cat out/kick-tires/extreme_eps.txt >&2
+    exit 1
+fi
+echo "extreme eps/ell answered with errors, session continued: OK"
 
 echo "== experiment driver (quick): Figure 4 phase breakdown =="
 cargo run --release -p tim_bench --bin experiments -- fig4 --quick --scale 0.2 \

@@ -3,8 +3,8 @@
 //! On deterministic graphs (all probabilities 0 or 1) the spread is exact
 //! and OPT can be brute-forced, so the guarantee is checked without Monte
 //! Carlo noise — for `Tim::run` and for every path the query engine
-//! serves answers from (exact replay, fast prefix, a grown pool, sharded
-//! selection). On small probabilistic graphs OPT is brute-forced with
+//! serves answers from (exact replay, fast prefix, a grown pool, a mapped
+//! restore). On small probabilistic graphs OPT is brute-forced with
 //! high-precision estimates.
 
 use tim_influence::prelude::*;
@@ -89,13 +89,12 @@ fn assert_guarantee_on_deterministic_graphs(
 
 /// A query engine at ε = [`EPS`] over `g`, its pool warmed for
 /// [`K_MAX`].
-fn warm_engine(g: &Graph, seed: u64, select_threads: usize) -> QueryEngine<IndependentCascade> {
+fn warm_engine(g: &Graph, seed: u64) -> QueryEngine<IndependentCascade> {
     let mut engine = QueryEngine::new(g.clone(), IndependentCascade, "ic")
         .epsilon(EPS)
         .seed(seed)
-        .k_max(K_MAX)
-        .select_threads(select_threads);
-    engine.warm();
+        .k_max(K_MAX);
+    engine.warm().unwrap();
     engine
 }
 
@@ -113,14 +112,14 @@ fn tim_meets_guarantee_on_deterministic_graphs() {
 #[test]
 fn engine_exact_select_meets_guarantee_on_deterministic_graphs() {
     assert_guarantee_on_deterministic_graphs("select", |g, k, seed| {
-        warm_engine(g, seed, 1).select(k).seeds
+        warm_engine(g, seed).select(k).seeds
     });
 }
 
 #[test]
 fn engine_select_fast_meets_guarantee_on_deterministic_graphs() {
     assert_guarantee_on_deterministic_graphs("select_fast", |g, k, seed| {
-        warm_engine(g, seed, 1).select_fast(k).seeds
+        warm_engine(g, seed).select_fast(k).unwrap().seeds
     });
 }
 
@@ -133,22 +132,41 @@ fn engine_grown_pool_meets_guarantee_on_deterministic_graphs() {
             .epsilon(3.0 * EPS)
             .seed(seed)
             .k_max(K_MAX);
-        engine.warm();
+        engine.warm().unwrap();
         assert!(
             !engine.select(k).resampled,
             "the warm pool serves the loose ε"
         );
-        let tight = engine.select_with(k, Some(EPS), None);
+        let tight = engine.select_with(k, Some(EPS), None).unwrap();
         assert!(tight.resampled, "the tighter ε must grow the pool");
         tight.seeds
     });
 }
 
+#[cfg(unix)]
 #[test]
-fn engine_sharded_select_meets_guarantee_on_deterministic_graphs() {
-    assert_guarantee_on_deterministic_graphs("select_threads(2)", |g, k, seed| {
-        warm_engine(g, seed, 2).select(k).seeds
+fn engine_mapped_restore_meets_guarantee_on_deterministic_graphs() {
+    // Spill the warm pool as `.timp` v2, map it back, verify it as the
+    // server does before serving, and select straight from the mapping.
+    let dir = std::env::temp_dir().join(format!("tim_approx_mapped_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("pool.timp");
+    assert_guarantee_on_deterministic_graphs("mapped restore", |g, k, seed| {
+        warm_engine(g, seed).to_pool().save_v2(&path).unwrap();
+        let mapped = tim_influence::engine::PoolMmap::open(&path).unwrap();
+        mapped.verify().unwrap();
+        let mut engine = QueryEngine::from_mapped_pool(
+            tim_influence::graph::GraphStore::from_arc(std::sync::Arc::new(g.clone())),
+            IndependentCascade,
+            "ic",
+            mapped,
+        )
+        .unwrap();
+        let out = engine.select(k);
+        assert!(engine.pool_is_mapped() && !out.resampled);
+        out.seeds
     });
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
