@@ -600,10 +600,22 @@ fn build_state(
 fn query(args: &Args) -> Result<(), String> {
     let tag = args.get("model").unwrap_or("ic").to_lowercase();
     let model = ModelKind::from_tag(&tag).ok_or_else(|| format!("unknown --model '{tag}'"))?;
-    query_with(model, &tag, args)
+    query_with(
+        model,
+        &tag,
+        args,
+        std::io::stdin().lock(),
+        &mut std::io::stdout(),
+    )
 }
 
-fn query_with(model: ModelKind, model_name: &str, args: &Args) -> Result<(), String> {
+fn query_with(
+    model: ModelKind,
+    model_name: &str,
+    args: &Args,
+    input: impl Read,
+    out: &mut impl Write,
+) -> Result<(), String> {
     let quiet = args.switch("quiet");
     let mut config = server_config(args, quiet)?;
     let pool_path = args.get("pool");
@@ -717,16 +729,14 @@ fn query_with(model: ModelKind, model_name: &str, args: &Args) -> Result<(), Str
     }
     let theta_before = watched_engine.as_ref().map(|e| e.pool_theta());
 
-    let stdin = std::io::stdin();
-    let mut stdout = std::io::stdout();
-    catalog_query_session(&state, stdin.lock(), &mut stdout)?;
+    catalog_query_session(&state, input, out)?;
 
     // Persist growth so the next process benefits from it.
     if let (Some(p), Some(engine), Some(before)) = (pool_path, watched_engine, theta_before) {
         if engine.pool_theta() != before {
             engine
                 .to_pool()
-                .save(p)
+                .save_v2(p)
                 .map_err(|e| format!("re-saving pool {p}: {e}"))?;
             if !quiet {
                 eprintln!("pool grew to theta = {}; re-saved {p}", engine.pool_theta());
@@ -1030,6 +1040,7 @@ fn client(args: &Args) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tim_engine::{pool_version, PoolMmap};
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
@@ -1342,6 +1353,41 @@ mod tests {
         assert_eq!(verbs[0], "graphs: default");
         assert_eq!(verbs[1], "using default");
         assert!(verbs[2].starts_with("stats: graph=default n=3 m=3 "));
+    }
+
+    #[test]
+    fn query_resaves_a_grown_pool_as_v2() {
+        // A 300-node directed cycle with p = 1: spread saturates, so
+        // `select 12` past `-k 8` grows the pool.
+        let dir = tmpdir();
+        let graph = dir.join("resave_cycle.txt");
+        io::save_edge_list(&tim_graph::gen::directed_cycle(300, 1.0), &graph).unwrap();
+        let run = |pool: &std::path::Path, input: &str| {
+            std::fs::remove_file(pool).ok();
+            let args = Args::parse(&argv(&format!(
+                "{} --pool {} --weights const:1 -k 8 --eps 0.8 --seed 7 --quiet",
+                graph.display(),
+                pool.display()
+            )))
+            .unwrap();
+            let mut out = Vec::new();
+            query_with(
+                ModelKind::IndependentCascade,
+                "ic",
+                &args,
+                input.as_bytes(),
+                &mut out,
+            )
+            .unwrap();
+            assert_eq!(pool_version(pool).unwrap(), 2, "{input:?}");
+            PoolMmap::open(pool).unwrap().meta().theta
+        };
+        let warm = run(&dir.join("resave_warm.timp"), "");
+        let grown = run(&dir.join("resave_grown.timp"), "select 12\n");
+        assert!(grown > warm, "select 12 grows the pool: {warm} -> {grown}");
+        for f in ["resave_cycle.txt", "resave_warm.timp", "resave_grown.timp"] {
+            std::fs::remove_file(dir.join(f)).ok();
+        }
     }
 
     #[test]

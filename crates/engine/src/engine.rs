@@ -533,21 +533,31 @@ impl<M: BackingModel + Clone> QueryEngine<M> {
         eps: Option<f64>,
         ell: Option<f64>,
     ) -> Result<QueryOutcome, EngineError> {
+        let (eps, ell) = self.resolve(k, eps, ell);
+        let plan = self.plan_for(k, eps, ell)?;
+        let resampled = self.ensure_theta(plan.theta);
+        let mut outcome = self
+            .try_select_with(k, Some(eps), Some(ell))
+            .expect("plan cached and pool grown");
+        outcome.resampled = resampled;
+        Ok(outcome)
+    }
+
+    /// Applies the engine's ε/ℓ defaults to a select's overrides.
+    ///
+    /// # Panics
+    /// Panics if `k == 0` or ε/ℓ is not positive.
+    fn resolve(&self, k: usize, eps: Option<f64>, ell: Option<f64>) -> (f64, f64) {
         assert!(k >= 1, "k must be at least 1");
         let eps = eps.unwrap_or(self.epsilon);
         let ell = ell.unwrap_or(self.ell);
         assert!(eps > 0.0 && ell > 0.0, "epsilon and ell must be positive");
-        let plan = self.plan_for(k, eps, ell)?;
-        let resampled = self.ensure_theta(plan.theta);
-        let outcome = self.answer_plan(&plan, resampled);
-        debug_assert_eq!(outcome.seeds.len(), plan.k.min(self.store.n()));
-        Ok(outcome)
+        (eps, ell)
     }
 
     /// Runs greedy for an already-satisfiable plan (`plan.theta ≤`
-    /// [`pool_theta`](Self::pool_theta)) — the shared tail of the mutable
-    /// and read-only select paths.
-    fn answer_plan(&self, plan: &SamplingPlan, resampled: bool) -> QueryOutcome {
+    /// [`pool_theta`](Self::pool_theta)).
+    fn answer_plan(&self, plan: &SamplingPlan) -> QueryOutcome {
         debug_assert!(plan.theta <= self.pool_theta);
         let n = self.store.n() as f64;
         let cover = if plan.theta == self.pool_theta {
@@ -560,12 +570,13 @@ impl<M: BackingModel + Clone> QueryEngine<M> {
         } else {
             greedy_max_cover(&mut self.subset(plan.theta), plan.k)
         };
+        debug_assert_eq!(cover.seeds.len(), plan.k.min(self.store.n()));
         let frac = cover.coverage_fraction(plan.theta as usize);
         QueryOutcome {
             seeds: cover.seeds,
             theta_used: plan.theta,
             pool_theta: self.pool_theta,
-            resampled,
+            resampled: false,
             estimated_spread: frac * n,
         }
     }
@@ -586,15 +597,12 @@ impl<M: BackingModel + Clone> QueryEngine<M> {
         eps: Option<f64>,
         ell: Option<f64>,
     ) -> Option<QueryOutcome> {
-        assert!(k >= 1, "k must be at least 1");
-        let eps = eps.unwrap_or(self.epsilon);
-        let ell = ell.unwrap_or(self.ell);
-        assert!(eps > 0.0 && ell > 0.0, "epsilon and ell must be positive");
+        let (eps, ell) = self.resolve(k, eps, ell);
         let plan = self.plans.get(&(k, eps.to_bits(), ell.to_bits()))?;
         if plan.theta > self.pool_theta {
             return None;
         }
-        Some(self.answer_plan(plan, false))
+        Some(self.answer_plan(plan))
     }
 
     /// Answers a `k`-seed selection as the `k`-prefix of a single cached
@@ -612,54 +620,31 @@ impl<M: BackingModel + Clone> QueryEngine<M> {
         let plan = self.plan_for(k.max(self.k_max), self.epsilon, self.ell)?;
         self.k_max = self.k_max.max(k);
         let resampled = self.ensure_theta(plan.theta);
-        let depth = self.k_max;
-        let stale = match &self.fast {
-            Some(f) => f.pool_theta != self.pool_theta || f.cover.seeds.len() < k.min(depth),
-            None => true,
-        };
-        if stale {
+        if self.fresh_fast_cover(k).is_none() {
             self.pool.ensure_inverted_index();
             let cover = match self.pool.view() {
-                SetsView::Heap(c) => greedy_max_cover_indexed(c, depth),
-                SetsView::Mmap(m) => greedy_max_cover_indexed(m, depth),
+                SetsView::Heap(c) => greedy_max_cover_indexed(c, self.k_max),
+                SetsView::Mmap(m) => greedy_max_cover_indexed(m, self.k_max),
             };
             self.fast = Some(FastCover {
                 pool_theta: self.pool_theta,
                 cover,
             });
         }
-        let fast = self.fast.as_ref().expect("fast cover just ensured");
-        Ok(Self::fast_prefix_outcome(
-            fast,
-            k,
-            self.pool_theta,
-            self.store.n(),
-            resampled,
-        ))
+        let mut outcome = self
+            .try_select_fast(k)
+            .expect("plan cached, pool grown, fast cover built");
+        outcome.resampled = resampled;
+        Ok(outcome)
     }
 
-    /// Assembles the `k`-prefix answer from a cached full-pool greedy run.
-    fn fast_prefix_outcome(
-        fast: &FastCover,
-        k: usize,
-        pool_theta: u64,
-        n: usize,
-        resampled: bool,
-    ) -> QueryOutcome {
-        let k_eff = k.min(fast.cover.seeds.len());
-        let covered: usize = fast.cover.marginal[..k_eff].iter().sum();
-        let frac = if pool_theta == 0 {
-            0.0
-        } else {
-            covered as f64 / pool_theta as f64
-        };
-        QueryOutcome {
-            seeds: fast.cover.seeds[..k_eff].to_vec(),
-            theta_used: pool_theta,
-            pool_theta,
-            resampled,
-            estimated_spread: frac * n as f64,
-        }
+    /// The cached full-pool greedy run, if it was built over the current
+    /// pool and is deep enough to answer `k`.
+    fn fresh_fast_cover(&self, k: usize) -> Option<&FastCover> {
+        let want = k.min(self.k_max).min(self.store.n());
+        self.fast
+            .as_ref()
+            .filter(|f| f.pool_theta == self.pool_theta && f.cover.seeds.len() >= want)
     }
 
     /// Read-only [`select_fast`](Self::select_fast): serves the `k`-prefix
@@ -682,17 +667,21 @@ impl<M: BackingModel + Clone> QueryEngine<M> {
         if plan.theta > self.pool_theta {
             return None;
         }
-        let fast = self.fast.as_ref()?;
-        if fast.pool_theta != self.pool_theta || fast.cover.seeds.len() < k.min(self.k_max) {
-            return None;
-        }
-        Some(Self::fast_prefix_outcome(
-            fast,
-            k,
-            self.pool_theta,
-            self.store.n(),
-            false,
-        ))
+        let fast = self.fresh_fast_cover(k)?;
+        let k_eff = k.min(fast.cover.seeds.len());
+        let covered: usize = fast.cover.marginal[..k_eff].iter().sum();
+        let frac = if self.pool_theta == 0 {
+            0.0
+        } else {
+            covered as f64 / self.pool_theta as f64
+        };
+        Some(QueryOutcome {
+            seeds: fast.cover.seeds[..k_eff].to_vec(),
+            theta_used: self.pool_theta,
+            pool_theta: self.pool_theta,
+            resampled: false,
+            estimated_spread: frac * self.store.n() as f64,
+        })
     }
 
     /// Estimates `E[I(seeds)]` as `n · F_R(seeds)` over the full pool
@@ -702,10 +691,8 @@ impl<M: BackingModel + Clone> QueryEngine<M> {
     /// # Panics
     /// Panics if any seed is outside the graph's node range.
     pub fn spread(&mut self, seeds: &[NodeId]) -> Result<f64, EngineError> {
-        if self.pool_theta == 0 {
-            self.warm()?;
-        }
-        Ok(self.pool.coverage_fraction(seeds) * self.store.n() as f64)
+        self.ensure_warm()?;
+        Ok(self.try_spread(seeds).expect("pool is warm"))
     }
 
     /// Estimates the marginal spread gain of adding `candidate` to `base`:
@@ -717,18 +704,20 @@ impl<M: BackingModel + Clone> QueryEngine<M> {
         base: &[NodeId],
         candidate: NodeId,
     ) -> Result<f64, EngineError> {
-        if base.contains(&candidate) {
-            return Ok(0.0);
+        if !base.contains(&candidate) {
+            self.ensure_warm()?;
         }
+        Ok(self
+            .try_marginal_gain(base, candidate)
+            .expect("pool is warm"))
+    }
+
+    /// Warms the pool if it is cold.
+    fn ensure_warm(&mut self) -> Result<(), EngineError> {
         if self.pool_theta == 0 {
             self.warm()?;
         }
-        let before = self.pool.count_covered(base);
-        let mut with: Vec<NodeId> = base.to_vec();
-        with.push(candidate);
-        let after = self.pool.count_covered(&with);
-        let denom = self.pool.len().max(1) as f64;
-        Ok((after - before) as f64 / denom * self.store.n() as f64)
+        Ok(())
     }
 
     /// Read-only [`spread`](Self::spread): `None` when the pool is cold
@@ -1025,6 +1014,20 @@ mod tests {
         assert_eq!(e.try_spread(&want.seeds), Some(s));
         let m = e.marginal_gain(&want.seeds, 99).unwrap();
         assert_eq!(e.try_marginal_gain(&want.seeds, 99), Some(m));
+    }
+
+    #[test]
+    fn fast_select_past_the_node_count_answers_every_node() {
+        let mut e = QueryEngine::new(wc_graph(30, 2), IndependentCascade, "ic")
+            .epsilon(0.8)
+            .seed(3)
+            .threads(1)
+            .k_max(4);
+        let out = e.select_fast(40).unwrap();
+        assert_eq!(out.seeds.len(), 30);
+        // The 30-seed cover answers k = 40 from the read-only path too.
+        let again = e.try_select_fast(40).expect("cover holds every node");
+        assert_eq!(again.seeds, out.seeds);
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub use pool::{
     POOL_V2_MODEL_TAG_MAX, POOL_VERSION, POOL_VERSION_V2,
 };
 pub use pool_mmap::PoolMmap;
-pub use shared::{EngineReadGuard, SharedEngine};
+pub use shared::SharedEngine;
 pub use store::{
     PoolId, PoolStore, ProbedPool, StoreStats, INDEX_FILE, POOL_EXTENSION, QUARANTINE_DIR,
 };

@@ -121,18 +121,10 @@ impl<M: BackingModel + Clone> SharedEngine<M> {
         eps: Option<f64>,
         ell: Option<f64>,
     ) -> Result<QueryOutcome, EngineError> {
-        if let Some(out) = self
-            .inner
-            .read()
-            .expect(POISONED)
-            .try_select_with(k, eps, ell)
-        {
-            return Ok(out);
-        }
-        // Upgrade. Another writer may have satisfied the query in between;
-        // the mutable path re-checks and is deterministic, so recomputing
-        // is correct either way.
-        self.with_growth(|e| e.select_with(k, eps, ell))
+        self.read_then_write(
+            |e| e.try_select_with(k, eps, ell),
+            |e| e.select_with(k, eps, ell),
+        )
     }
 
     /// [`QueryEngine::select_fast`] with the read-fast-path split.
@@ -140,10 +132,7 @@ impl<M: BackingModel + Clone> SharedEngine<M> {
     /// # Panics
     /// Panics if `k == 0`.
     pub fn select_fast(&self, k: usize) -> Result<QueryOutcome, EngineError> {
-        if let Some(out) = self.inner.read().expect(POISONED).try_select_fast(k) {
-            return Ok(out);
-        }
-        self.with_growth(|e| e.select_fast(k))
+        self.read_then_write(|e| e.try_select_fast(k), |e| e.select_fast(k))
     }
 
     /// [`QueryEngine::spread`] — read lock on a warm pool, write lock
@@ -152,23 +141,33 @@ impl<M: BackingModel + Clone> SharedEngine<M> {
     /// # Panics
     /// Panics if any seed is outside the graph's node range.
     pub fn spread(&self, seeds: &[NodeId]) -> Result<f64, EngineError> {
-        if let Some(s) = self.inner.read().expect(POISONED).try_spread(seeds) {
-            return Ok(s);
-        }
-        self.with_growth(|e| e.spread(seeds))
+        self.read_then_write(|e| e.try_spread(seeds), |e| e.spread(seeds))
     }
 
     /// [`QueryEngine::marginal_gain`] with the read-fast-path split.
     pub fn marginal_gain(&self, base: &[NodeId], candidate: NodeId) -> Result<f64, EngineError> {
-        if let Some(m) = self
-            .inner
-            .read()
-            .expect(POISONED)
-            .try_marginal_gain(base, candidate)
-        {
-            return Ok(m);
+        self.read_then_write(
+            |e| e.try_marginal_gain(base, candidate),
+            |e| e.marginal_gain(base, candidate),
+        )
+    }
+
+    /// Answers through the engine's read-only `try_*` path under the read
+    /// lock, or, on a miss, through its `&mut` twin under the write lock.
+    /// Another writer may have satisfied the query in between; the
+    /// mutable path re-checks and is deterministic, so recomputing is
+    /// correct either way.
+    fn read_then_write<T>(
+        &self,
+        read: impl FnOnce(&QueryEngine<M>) -> Option<T>,
+        write: impl FnOnce(&mut QueryEngine<M>) -> Result<T, EngineError>,
+    ) -> Result<T, EngineError> {
+        // A `let`, so the read guard drops before the write lock is taken.
+        let hit = read(&self.inner.read().expect(POISONED));
+        match hit {
+            Some(out) => Ok(out),
+            None => self.with_growth(write),
         }
-        self.with_growth(|e| e.marginal_gain(base, candidate))
     }
 
     /// Current pool size θ (0 when cold).
@@ -207,62 +206,6 @@ impl<M: BackingModel + Clone> SharedEngine<M> {
     /// Unwraps the engine (e.g. to persist it at shutdown).
     pub fn into_inner(self) -> QueryEngine<M> {
         self.inner.into_inner().expect(POISONED)
-    }
-
-    /// Acquires the read lock once and returns a handle answering the
-    /// engine's read-only `try_*` queries against it — the batch-dispatch
-    /// primitive: a `tim/2` `batch` executes its whole run of same-engine
-    /// queries under **one** lock acquisition instead of one per line.
-    ///
-    /// A `try_*` miss (uncached plan, θ shortfall) returns `None`; the
-    /// caller must **drop the handle first** and go through the blocking
-    /// methods ([`select_with`](Self::select_with), …) — calling them while
-    /// holding the handle would self-deadlock on the write lock. Answers
-    /// never depend on which path served them.
-    pub fn read_handle(&self) -> EngineReadGuard<'_, M> {
-        EngineReadGuard {
-            guard: self.inner.read().expect(POISONED),
-        }
-    }
-}
-
-/// A read-lock guard over a [`SharedEngine`], exposing the engine's
-/// read-only query surface. Created by [`SharedEngine::read_handle`];
-/// holding it blocks pool growth (writers), not other readers.
-#[derive(Debug)]
-pub struct EngineReadGuard<'a, M> {
-    guard: std::sync::RwLockReadGuard<'a, QueryEngine<M>>,
-}
-
-impl<M: BackingModel + Clone> EngineReadGuard<'_, M> {
-    /// [`QueryEngine::try_select_with`] under the held read lock.
-    pub fn try_select_with(
-        &self,
-        k: usize,
-        eps: Option<f64>,
-        ell: Option<f64>,
-    ) -> Option<QueryOutcome> {
-        self.guard.try_select_with(k, eps, ell)
-    }
-
-    /// [`QueryEngine::try_select_fast`] under the held read lock.
-    pub fn try_select_fast(&self, k: usize) -> Option<QueryOutcome> {
-        self.guard.try_select_fast(k)
-    }
-
-    /// [`QueryEngine::try_spread`] under the held read lock.
-    pub fn try_spread(&self, seeds: &[NodeId]) -> Option<f64> {
-        self.guard.try_spread(seeds)
-    }
-
-    /// [`QueryEngine::try_marginal_gain`] under the held read lock.
-    pub fn try_marginal_gain(&self, base: &[NodeId], candidate: NodeId) -> Option<f64> {
-        self.guard.try_marginal_gain(base, candidate)
-    }
-
-    /// Pool size θ at the time the lock was taken.
-    pub fn pool_theta(&self) -> u64 {
-        self.guard.pool_theta()
     }
 }
 
@@ -351,32 +294,6 @@ mod tests {
                 assert_eq!(seeds, serial[k - 1], "k = {k}");
             }
         }
-    }
-
-    #[test]
-    fn read_handle_answers_match_blocking_calls() {
-        let s = shared(4);
-        // Blocking ground truth first: these may take the write lock
-        // (plan caching, fast-cover build), which must not happen while a
-        // read handle is held.
-        let want = s.select(3);
-        let fast = s.select_fast(2).unwrap().seeds;
-        let spread = s.spread(&want.seeds).unwrap();
-        let gain = s.marginal_gain(&want.seeds, 9).unwrap();
-        let theta = s.pool_theta();
-
-        let handle = s.read_handle();
-        assert_eq!(
-            handle.try_select_with(3, None, None).unwrap().seeds,
-            want.seeds
-        );
-        assert_eq!(handle.try_select_fast(2).unwrap().seeds, fast);
-        assert_eq!(handle.try_spread(&want.seeds).unwrap(), spread);
-        assert_eq!(handle.try_marginal_gain(&want.seeds, 9).unwrap(), gain);
-        assert_eq!(handle.pool_theta(), theta);
-        // A miss (k beyond the warmed pool) reports None instead of
-        // blocking — the caller is expected to drop the handle and retry.
-        assert!(handle.try_select_with(64, None, None).is_none());
     }
 
     #[test]

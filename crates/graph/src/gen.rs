@@ -212,6 +212,26 @@ pub fn powerlaw_configuration(
     b.build()
 }
 
+/// Directed cycle `v → (v+1) mod n` with every edge's probability `p`.
+///
+/// At `p = 1` every reverse-reachable set holds every node, so spread
+/// saturates at `n` for any non-empty seed set.
+///
+/// # Panics
+/// Panics if `n < 2` or `p` is not in `(0, 1]`.
+pub fn directed_cycle(n: usize, p: f32) -> Graph {
+    assert!(n >= 2, "directed_cycle: need n >= 2 (n={n})");
+    assert!(
+        p > 0.0 && p <= 1.0,
+        "directed_cycle: p {p} must be in (0, 1]"
+    );
+    let mut b = GraphBuilder::with_edge_capacity(n, n);
+    for v in 0..n {
+        b.add_edge_with_probability(v as NodeId, ((v + 1) % n) as NodeId, p);
+    }
+    b.build()
+}
+
 /// Returns the undirected closure: every edge gains its reverse arc.
 pub fn symmetrize(g: &Graph) -> Graph {
     let mut b = GraphBuilder::with_edge_capacity(g.n(), 2 * g.m());
@@ -225,6 +245,15 @@ pub fn symmetrize(g: &Graph) -> Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn directed_cycle_links_each_node_to_its_successor() {
+        let g = directed_cycle(4, 0.5);
+        g.validate().unwrap();
+        let mut e: Vec<_> = g.edges().collect();
+        e.sort_by_key(|&(u, _, _)| u);
+        assert_eq!(e, [(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5), (3, 0, 0.5)]);
+    }
 
     #[test]
     fn gnm_has_exact_edge_count() {

@@ -10,16 +10,15 @@
 //!
 //! Five layers, each usable on its own:
 //!
-//! - [`protocol`] — the newline-delimited query protocol (`tim/2`, a
+//! - [`protocol`] — the newline-delimited query protocol (`tim/3`, a
 //!   strict superset of `tim/1`; normative spec: `docs/PROTOCOL.md`),
 //!   shared verbatim with `tim query`. Parsing
-//!   ([`protocol::parse_request`] / [`protocol::parse_query`]) is split
-//!   from execution ([`protocol::execute`]) so a server can route a
-//!   parsed query to the right graph and pool before running it;
-//!   [`protocol::QueryBackend`] abstracts over an exclusive
-//!   [`tim_engine::QueryEngine`], a shared [`tim_engine::SharedEngine`],
-//!   and the batch read-guard backend. The module also owns the 1 MiB
-//!   line framing ([`protocol::CappedLineReader`]) both transports share.
+//!   ([`protocol::parse_request`], the one parse entry point) is split
+//!   from execution ([`protocol::execute`], against a
+//!   [`tim_engine::SharedEngine`]) so a server can route a parsed query
+//!   to the right graph and pool before running it. The module also owns
+//!   the 1 MiB line framing ([`protocol::CappedLineReader`]) both
+//!   transports share.
 //! - [`cache`] — [`cache::PoolCache`], an LRU cache of
 //!   [`tim_engine::SharedEngine`]s keyed by pool provenance
 //!   `(graph checksum, model, seed, ε, ℓ)`. Distinct query mixes reuse or
@@ -29,10 +28,10 @@
 //!   behind per-graph locks, each with its own [`cache::PoolCache`]
 //!   budget, plus LRU eviction of idle graphs; [`catalog::GraphState`] is
 //!   one graph's serving state.
-//! - [`session`] — [`session::Session`], the per-connection `tim/2` state
+//! - [`session`] — [`session::Session`], the per-connection `tim/3` state
 //!   machine: current graph (`use`), cached default-engine handle, and
-//!   `batch` execution that amortizes lock acquisition and IO without
-//!   changing a single answer byte.
+//!   `batch`, which answers its lines one by one like unbatched lines
+//!   and writes them with one flush.
 //! - [`server`] — [`server::Server`], a multi-threaded TCP server:
 //!   [`server::ServerState`] (catalog + defaults) shared via `Arc` across
 //!   worker threads that each accept and serve connections.
@@ -64,8 +63,8 @@
 //! a query demands growth, so sessions whose queries stay within the
 //! warmed pool are interleaving-independent too. Graphs are isolated by
 //! construction (separate pools, separate caches), so multi-tenant
-//! traffic cannot perturb another graph's answers; batching is a pure
-//! transport/locking optimization. See ARCHITECTURE.md §"Concurrency
+//! traffic cannot perturb another graph's answers; batching only saves
+//! writes. See ARCHITECTURE.md §"Concurrency
 //! guarantees" and the `concurrent_determinism` / `multi_graph`
 //! integration tests.
 
@@ -88,10 +87,9 @@ pub use event_loop::{AT_CAPACITY_REPLY, IDLE_TIMEOUT_REPLY};
 #[cfg(target_os = "linux")]
 pub use fanin::{drive_sessions, latency_stats, FaninReport, LatencyStats, SessionOutcome};
 pub use protocol::{
-    execute, parse_query, parse_request, CappedLine, CappedLineReader, LabelMap, ParsedLine,
-    ParsedRequest, PollLine, Query, QueryBackend, Reply, Request, MAX_BATCH, MAX_BATCH_BYTES,
-    MAX_LINE_BYTES, NOT_UTF8_LINE_REPLY, OVERSIZED_BATCH_REPLY, OVERSIZED_LINE_REPLY,
-    PROTOCOL_VERSION,
+    execute, parse_request, CappedLine, CappedLineReader, LabelMap, ParsedRequest, PollLine, Query,
+    Reply, Request, MAX_BATCH, MAX_BATCH_BYTES, MAX_LINE_BYTES, NOT_UTF8_LINE_REPLY,
+    OVERSIZED_BATCH_REPLY, OVERSIZED_LINE_REPLY, PROTOCOL_VERSION,
 };
 pub use server::{Server, ServerConfig, ServerHandle, ServerState, DEFAULT_GRAPH_NAME};
 pub use session::Session;

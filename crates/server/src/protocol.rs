@@ -7,27 +7,24 @@
 //! and versioning rules live in `docs/PROTOCOL.md`; this module is the
 //! single implementation both front ends use, so they cannot drift apart.
 //!
-//! The grammar has three strata:
+//! One parser, [`parse_request`], reads the whole grammar, which has
+//! three strata:
 //!
-//! - **Engine-scoped queries** ([`Query`], parsed by [`parse_query`],
-//!   executed by [`execute`]) — `select` / `eval` / `marginal` / `ping`,
-//!   unchanged from `tim/1`. [`QueryBackend`] abstracts the engine access
-//!   so the same `execute` serves an exclusive [`QueryEngine`]
-//!   (`tim query`), a lock-sharded [`SharedEngine`] (`tim serve`), and the
-//!   batch read-guard backend.
-//! - **Session-scoped requests** ([`Request`], parsed by
-//!   [`parse_request`]) — the `tim/2` additions `use` / `graphs` /
-//!   `stats` / `batch`, which manipulate per-connection state (current
-//!   graph, pending batch) and are executed by
-//!   [`Session`](crate::session::Session), not by an engine.
+//! - **Engine-scoped queries** ([`Query`], executed by [`execute`] against
+//!   a [`SharedEngine`]) — `select` / `eval` / `marginal` / `ping`,
+//!   unchanged from `tim/1`.
+//! - **Session-scoped requests** ([`Request`]) — the `tim/2` additions
+//!   `use` / `graphs` / `stats` / `batch`, which manipulate
+//!   per-connection state (current graph, pending batch) and are executed
+//!   by [`Session`](crate::session::Session), not by an engine.
 //! - **Admin requests** (new in `tim/3`) — `attach` / `detach` /
 //!   `persist` / `stats pools`, which mutate the server's graph catalog
 //!   or its persistent warm state. They always *parse*; whether they
 //!   *execute* is gated by the server's `--admin` switch (default off:
 //!   they answer `error: …`).
 //!
-//! Parsing is deliberately separate from execution: a concurrent server
-//! must inspect a query's ε/ℓ overrides to route it to the right pool
+//! Parsing is deliberately separate from execution: a server must
+//! inspect a query's ε/ℓ overrides to route it to the right pool
 //! *before* running it, and must see a `use` before deciding which graph
 //! that pool belongs to.
 //!
@@ -38,7 +35,7 @@
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read};
 use tim_diffusion::BackingModel;
-use tim_engine::{EngineError, QueryEngine, QueryOutcome, SharedEngine};
+use tim_engine::SharedEngine;
 use tim_graph::NodeId;
 
 /// Protocol version implemented by this module (see `docs/PROTOCOL.md`).
@@ -173,108 +170,9 @@ pub enum Query {
     Ping,
 }
 
-/// Result of parsing one input line.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ParsedLine {
-    /// Blank line or `#` comment: produces no answer line.
-    Empty,
-    /// A well-formed request.
-    Query(Query),
-    /// A malformed request; answer `error: <reason>` and continue.
-    Malformed(String),
-}
-
-/// Parses one protocol line. Never fails hard: malformed input becomes
-/// [`ParsedLine::Malformed`] so sessions survive bad lines.
-pub fn parse_query(line: &str) -> ParsedLine {
-    let trimmed = line.trim();
-    if trimmed.is_empty() || trimmed.starts_with('#') {
-        return ParsedLine::Empty;
-    }
-    let mut tokens = trimmed.split_whitespace();
-    let parsed = match tokens.next() {
-        Some("select") => (|| -> Result<Query, String> {
-            let k: usize = tokens
-                .next()
-                .ok_or("select: missing k")?
-                .parse()
-                .map_err(|_| "select: bad k".to_string())?;
-            if k == 0 {
-                return Err("select: k must be positive".into());
-            }
-            let mut fast = false;
-            let (mut eps, mut ell) = (None, None);
-            for t in tokens.by_ref() {
-                if t == "fast" {
-                    fast = true;
-                } else if let Some(v) = t.strip_prefix("eps=") {
-                    eps = Some(v.parse().map_err(|_| format!("select: bad eps '{v}'"))?);
-                } else if let Some(v) = t.strip_prefix("ell=") {
-                    ell = Some(v.parse().map_err(|_| format!("select: bad ell '{v}'"))?);
-                } else {
-                    return Err(format!("select: unknown option '{t}'"));
-                }
-            }
-            if fast && (eps.is_some() || ell.is_some()) {
-                return Err("select: fast mode uses the pool's eps/ell".into());
-            }
-            // NaN and infinity must be rejected alongside non-positive
-            // values: the engine asserts eps > 0 (a panic would kill the
-            // session), and an infinite one plans from a NaN λ.
-            let bad = |v: f64| !(v.is_finite() && v > 0.0);
-            if let Some(e) = eps.filter(|&e| bad(e)) {
-                return Err(format!(
-                    "select: eps must be positive and finite, got '{e}'"
-                ));
-            }
-            if let Some(l) = ell.filter(|&l| bad(l)) {
-                return Err(format!(
-                    "select: ell must be positive and finite, got '{l}'"
-                ));
-            }
-            Ok(Query::Select { k, fast, eps, ell })
-        })(),
-        Some("eval") => (|| -> Result<Query, String> {
-            let spec = tokens.next().ok_or("eval: missing seed list")?;
-            if tokens.next().is_some() {
-                return Err("eval: trailing tokens".into());
-            }
-            let seeds = parse_id_list(spec)?;
-            if seeds.is_empty() {
-                return Err("eval: empty seed list".into());
-            }
-            Ok(Query::Eval { seeds })
-        })(),
-        Some("marginal") => (|| -> Result<Query, String> {
-            let base_spec = tokens.next().ok_or("marginal: missing base seed list")?;
-            let cand_spec = tokens.next().ok_or("marginal: missing candidate id")?;
-            if tokens.next().is_some() {
-                return Err("marginal: trailing tokens".into());
-            }
-            Ok(Query::Marginal {
-                base: parse_id_list(base_spec)?,
-                cand: parse_id_list(cand_spec)?,
-            })
-        })(),
-        Some("ping") => (|| -> Result<Query, String> {
-            if tokens.next().is_some() {
-                return Err("ping: trailing tokens".into());
-            }
-            Ok(Query::Ping)
-        })(),
-        Some(other) => Err(format!("unknown query '{other}'")),
-        None => return ParsedLine::Empty,
-    };
-    match parsed {
-        Ok(q) => ParsedLine::Query(q),
-        Err(e) => ParsedLine::Malformed(e),
-    }
-}
-
-/// A parsed `tim/2` request: an engine-scoped [`Query`] or one of the
-/// session-scoped verbs. Session verbs are executed by
-/// [`Session`](crate::session::Session); handing them to the engine-level
-/// [`handle_line`] answers `error: …` instead (no session to act on).
+/// A parsed `tim/3` request: an engine-scoped [`Query`] or one of the
+/// session-scoped and admin verbs, which
+/// [`Session`](crate::session::Session) executes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
     /// An engine-scoped query (the `tim/1` subset plus `ping`).
@@ -320,7 +218,7 @@ pub enum Request {
     Persist,
 }
 
-/// Result of parsing one input line at the session stratum.
+/// Result of parsing one input line.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ParsedRequest {
     /// Blank line or `#` comment: produces no answer line.
@@ -331,31 +229,32 @@ pub enum ParsedRequest {
     Malformed(String),
 }
 
-/// Parses one protocol line at the full `tim/2` grammar: session verbs
-/// plus every engine-scoped query [`parse_query`] accepts. Never fails
-/// hard — malformed input becomes [`ParsedRequest::Malformed`].
+/// Parses one protocol line at the full `tim/3` grammar: engine-scoped
+/// queries, session verbs and admin verbs. Never fails hard — malformed
+/// input becomes [`ParsedRequest::Malformed`], so sessions survive bad
+/// lines.
 pub fn parse_request(line: &str) -> ParsedRequest {
     let trimmed = line.trim();
     if trimmed.is_empty() || trimmed.starts_with('#') {
         return ParsedRequest::Empty;
     }
     let mut tokens = trimmed.split_whitespace();
-    let parsed: Option<Result<Request, String>> = match tokens.next() {
-        Some("use") => Some((|| {
+    let parsed: Result<Request, String> = match tokens.next() {
+        Some("use") => (|| {
             let name = tokens.next().ok_or("use: missing graph name")?;
             if tokens.next().is_some() {
                 return Err("use: trailing tokens".into());
             }
             tim_graph::catalog::validate_graph_name(name).map_err(|e| format!("use: {e}"))?;
             Ok(Request::Use(name.to_string()))
-        })()),
-        Some("graphs") => Some((|| {
+        })(),
+        Some("graphs") => (|| {
             if tokens.next().is_some() {
                 return Err("graphs: trailing tokens".into());
             }
             Ok(Request::Graphs)
-        })()),
-        Some("stats") => Some((|| {
+        })(),
+        Some("stats") => (|| {
             match tokens.next() {
                 None => {}
                 Some("pools") => {
@@ -367,8 +266,8 @@ pub fn parse_request(line: &str) -> ParsedRequest {
                 Some(_) => return Err("stats: trailing tokens".into()),
             }
             Ok(Request::Stats)
-        })()),
-        Some("attach") => Some((|| {
+        })(),
+        Some("attach") => (|| {
             let spec = tokens.next().ok_or("attach: missing name=path spec")?;
             let (name, path, mut overrides) = tim_graph::catalog::parse_graph_spec_full(spec)
                 .map_err(|e| format!("attach: {e}"))?;
@@ -386,22 +285,22 @@ pub fn parse_request(line: &str) -> ParsedRequest {
                 path,
                 overrides,
             })
-        })()),
-        Some("detach") => Some((|| {
+        })(),
+        Some("detach") => (|| {
             let name = tokens.next().ok_or("detach: missing graph name")?;
             if tokens.next().is_some() {
                 return Err("detach: trailing tokens".into());
             }
             tim_graph::catalog::validate_graph_name(name).map_err(|e| format!("detach: {e}"))?;
             Ok(Request::Detach(name.to_string()))
-        })()),
-        Some("persist") => Some((|| {
+        })(),
+        Some("persist") => (|| {
             if tokens.next().is_some() {
                 return Err("persist: trailing tokens".into());
             }
             Ok(Request::Persist)
-        })()),
-        Some("batch") => Some((|| {
+        })(),
+        Some("batch") => (|| {
             let n: usize = tokens
                 .next()
                 .ok_or("batch: missing line count")?
@@ -417,17 +316,86 @@ pub fn parse_request(line: &str) -> ParsedRequest {
                 return Err(format!("batch: line count must be at most {MAX_BATCH}"));
             }
             Ok(Request::Batch(n))
-        })()),
-        _ => None,
+        })(),
+        Some("select") => (|| -> Result<Query, String> {
+            let k: usize = tokens
+                .next()
+                .ok_or("select: missing k")?
+                .parse()
+                .map_err(|_| "select: bad k".to_string())?;
+            if k == 0 {
+                return Err("select: k must be positive".into());
+            }
+            let mut fast = false;
+            let (mut eps, mut ell) = (None, None);
+            for t in tokens.by_ref() {
+                if t == "fast" {
+                    fast = true;
+                } else if let Some(v) = t.strip_prefix("eps=") {
+                    eps = Some(v.parse().map_err(|_| format!("select: bad eps '{v}'"))?);
+                } else if let Some(v) = t.strip_prefix("ell=") {
+                    ell = Some(v.parse().map_err(|_| format!("select: bad ell '{v}'"))?);
+                } else {
+                    return Err(format!("select: unknown option '{t}'"));
+                }
+            }
+            if fast && (eps.is_some() || ell.is_some()) {
+                return Err("select: fast mode uses the pool's eps/ell".into());
+            }
+            // NaN and infinity must be rejected alongside non-positive
+            // values: the engine asserts eps > 0 (a panic would kill the
+            // session), and an infinite one plans from a NaN λ.
+            let bad = |v: f64| !(v.is_finite() && v > 0.0);
+            if let Some(e) = eps.filter(|&e| bad(e)) {
+                return Err(format!(
+                    "select: eps must be positive and finite, got '{e}'"
+                ));
+            }
+            if let Some(l) = ell.filter(|&l| bad(l)) {
+                return Err(format!(
+                    "select: ell must be positive and finite, got '{l}'"
+                ));
+            }
+            Ok(Query::Select { k, fast, eps, ell })
+        })()
+        .map(Request::Query),
+        Some("eval") => (|| -> Result<Query, String> {
+            let spec = tokens.next().ok_or("eval: missing seed list")?;
+            if tokens.next().is_some() {
+                return Err("eval: trailing tokens".into());
+            }
+            let seeds = parse_id_list(spec)?;
+            if seeds.is_empty() {
+                return Err("eval: empty seed list".into());
+            }
+            Ok(Query::Eval { seeds })
+        })()
+        .map(Request::Query),
+        Some("marginal") => (|| -> Result<Query, String> {
+            let base_spec = tokens.next().ok_or("marginal: missing base seed list")?;
+            let cand_spec = tokens.next().ok_or("marginal: missing candidate id")?;
+            if tokens.next().is_some() {
+                return Err("marginal: trailing tokens".into());
+            }
+            Ok(Query::Marginal {
+                base: parse_id_list(base_spec)?,
+                cand: parse_id_list(cand_spec)?,
+            })
+        })()
+        .map(Request::Query),
+        Some("ping") => (|| -> Result<Query, String> {
+            if tokens.next().is_some() {
+                return Err("ping: trailing tokens".into());
+            }
+            Ok(Query::Ping)
+        })()
+        .map(Request::Query),
+        Some(other) => Err(format!("unknown query '{other}'")),
+        None => return ParsedRequest::Empty,
     };
     match parsed {
-        Some(Ok(r)) => ParsedRequest::Request(r),
-        Some(Err(e)) => ParsedRequest::Malformed(e),
-        None => match parse_query(line) {
-            ParsedLine::Empty => ParsedRequest::Empty,
-            ParsedLine::Query(q) => ParsedRequest::Request(Request::Query(q)),
-            ParsedLine::Malformed(e) => ParsedRequest::Malformed(e),
-        },
+        Ok(r) => ParsedRequest::Request(r),
+        Err(e) => ParsedRequest::Malformed(e),
     }
 }
 
@@ -667,68 +635,6 @@ impl<R: Read> CappedLineReader<R> {
     }
 }
 
-/// Engine access as the protocol needs it — implemented by an exclusive
-/// [`QueryEngine`] (`tim query`) and by shared references to a
-/// [`SharedEngine`] (`tim serve`), so both front ends execute queries
-/// through the very same [`execute`]. Every call fails, instead of
-/// sampling, when the query's ε/ℓ ask for more RR sets than a pool can
-/// hold.
-pub trait QueryBackend {
-    /// Exact-replay seed selection with optional ε/ℓ overrides.
-    fn select_with(
-        &mut self,
-        k: usize,
-        eps: Option<f64>,
-        ell: Option<f64>,
-    ) -> Result<QueryOutcome, EngineError>;
-    /// Prefix answering over the full pool.
-    fn select_fast(&mut self, k: usize) -> Result<QueryOutcome, EngineError>;
-    /// Pool-coverage spread estimate of `seeds` (dense ids).
-    fn spread(&mut self, seeds: &[NodeId]) -> Result<f64, EngineError>;
-    /// Marginal spread gain of adding `candidate` to `base` (dense ids).
-    fn marginal_gain(&mut self, base: &[NodeId], candidate: NodeId) -> Result<f64, EngineError>;
-}
-
-impl<M: BackingModel + Clone> QueryBackend for QueryEngine<M> {
-    fn select_with(
-        &mut self,
-        k: usize,
-        eps: Option<f64>,
-        ell: Option<f64>,
-    ) -> Result<QueryOutcome, EngineError> {
-        QueryEngine::select_with(self, k, eps, ell)
-    }
-    fn select_fast(&mut self, k: usize) -> Result<QueryOutcome, EngineError> {
-        QueryEngine::select_fast(self, k)
-    }
-    fn spread(&mut self, seeds: &[NodeId]) -> Result<f64, EngineError> {
-        QueryEngine::spread(self, seeds)
-    }
-    fn marginal_gain(&mut self, base: &[NodeId], candidate: NodeId) -> Result<f64, EngineError> {
-        QueryEngine::marginal_gain(self, base, candidate)
-    }
-}
-
-impl<M: BackingModel + Clone> QueryBackend for &SharedEngine<M> {
-    fn select_with(
-        &mut self,
-        k: usize,
-        eps: Option<f64>,
-        ell: Option<f64>,
-    ) -> Result<QueryOutcome, EngineError> {
-        SharedEngine::select_with(self, k, eps, ell)
-    }
-    fn select_fast(&mut self, k: usize) -> Result<QueryOutcome, EngineError> {
-        SharedEngine::select_fast(self, k)
-    }
-    fn spread(&mut self, seeds: &[NodeId]) -> Result<f64, EngineError> {
-        SharedEngine::spread(self, seeds)
-    }
-    fn marginal_gain(&mut self, base: &[NodeId], candidate: NodeId) -> Result<f64, EngineError> {
-        SharedEngine::marginal_gain(self, base, candidate)
-    }
-}
-
 /// One protocol answer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Reply {
@@ -754,16 +660,21 @@ impl Reply {
     }
 }
 
-/// Executes a parsed query against a backend, mapping labels both ways.
-/// Infallible by design: execution errors (unknown labels, …) become
-/// `error: …` answer lines so one bad query never kills a session.
-pub fn execute<B: QueryBackend>(backend: &mut B, labels: &LabelMap, query: &Query) -> Reply {
+/// Executes a parsed query against an engine, mapping labels both ways.
+/// Infallible by design: execution errors (unknown labels, a sample
+/// count no pool can hold, …) become `error: …` answer lines so one bad
+/// query never kills a session.
+pub fn execute<M: BackingModel + Clone>(
+    engine: &SharedEngine<M>,
+    labels: &LabelMap,
+    query: &Query,
+) -> Reply {
     match query {
         Query::Select { k, fast, eps, ell } => {
             let outcome = if *fast {
-                backend.select_fast(*k)
+                engine.select_fast(*k)
             } else {
-                backend.select_with(*k, *eps, *ell)
+                engine.select_with(*k, *eps, *ell)
             };
             let outcome = match outcome {
                 Ok(outcome) => outcome,
@@ -789,7 +700,7 @@ pub fn execute<B: QueryBackend>(backend: &mut B, labels: &LabelMap, query: &Quer
             }
         }
         Query::Eval { seeds } => match labels.map_all(seeds) {
-            Ok(dense) => match backend.spread(&dense) {
+            Ok(dense) => match engine.spread(&dense) {
                 Ok(spread) => Reply::answer(format!("spread: {spread:.2}")),
                 Err(e) => Reply::error(format!("eval: {e}")),
             },
@@ -801,7 +712,7 @@ pub fn execute<B: QueryBackend>(backend: &mut B, labels: &LabelMap, query: &Quer
                 .and_then(|b| labels.map_all(cand).map(|c| (b, c)));
             match mapped {
                 Ok((base, cand)) => match cand.as_slice() {
-                    &[c] => match backend.marginal_gain(&base, c) {
+                    &[c] => match engine.marginal_gain(&base, c) {
                         Ok(gain) => Reply::answer(format!("marginal: {gain:.2}")),
                         Err(e) => Reply::error(format!("marginal: {e}")),
                     },
@@ -814,29 +725,14 @@ pub fn execute<B: QueryBackend>(backend: &mut B, labels: &LabelMap, query: &Quer
     }
 }
 
-/// Parses and executes one input line: `None` for blank/comment lines
-/// (no answer), `Some` otherwise — with malformed input folded into an
-/// `error: …` reply. This is the whole per-line behavior of `tim query`
-/// and of one `tim serve` connection.
-pub fn handle_line<B: QueryBackend>(
-    backend: &mut B,
-    labels: &LabelMap,
-    line: &str,
-) -> Option<Reply> {
-    match parse_query(line) {
-        ParsedLine::Empty => None,
-        ParsedLine::Malformed(e) => Some(Reply::error(e)),
-        ParsedLine::Query(q) => Some(execute(backend, labels, &q)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use tim_diffusion::IndependentCascade;
+    use tim_engine::QueryEngine;
     use tim_graph::{gen, weights};
 
-    fn backend() -> (QueryEngine<IndependentCascade>, LabelMap) {
+    fn exclusive() -> (QueryEngine<IndependentCascade>, LabelMap) {
         let mut g = gen::barabasi_albert(200, 4, 0.0, 1);
         weights::assign_weighted_cascade(&mut g);
         let n = g.n();
@@ -849,42 +745,58 @@ mod tests {
         (e, LabelMap::identity(n))
     }
 
+    fn backend() -> (SharedEngine<IndependentCascade>, LabelMap) {
+        let (e, labels) = exclusive();
+        (SharedEngine::new(e), labels)
+    }
+
+    /// Parses `line` as an engine-scoped query and executes it.
+    fn run(engine: &SharedEngine<IndependentCascade>, labels: &LabelMap, line: &str) -> Reply {
+        match parse_request(line) {
+            ParsedRequest::Request(Request::Query(q)) => execute(engine, labels, &q),
+            other => panic!("{line:?}: not a query: {other:?}"),
+        }
+    }
+
     #[test]
     fn parse_covers_grammar_and_errors() {
-        assert_eq!(parse_query("  "), ParsedLine::Empty);
-        assert_eq!(parse_query("# comment"), ParsedLine::Empty);
+        assert_eq!(parse_request("  "), ParsedRequest::Empty);
+        assert_eq!(parse_request("# comment"), ParsedRequest::Empty);
         assert_eq!(
-            parse_query("select 5 fast"),
-            ParsedLine::Query(Query::Select {
+            parse_request("select 5 fast"),
+            ParsedRequest::Request(Request::Query(Query::Select {
                 k: 5,
                 fast: true,
                 eps: None,
                 ell: None
-            })
+            }))
         );
         assert_eq!(
-            parse_query("select 3 eps=0.5 ell=2"),
-            ParsedLine::Query(Query::Select {
+            parse_request("select 3 eps=0.5 ell=2"),
+            ParsedRequest::Request(Request::Query(Query::Select {
                 k: 3,
                 fast: false,
                 eps: Some(0.5),
                 ell: Some(2.0)
-            })
+            }))
         );
         assert_eq!(
-            parse_query("eval 1,2,3"),
-            ParsedLine::Query(Query::Eval {
+            parse_request("eval 1,2,3"),
+            ParsedRequest::Request(Request::Query(Query::Eval {
                 seeds: vec![1, 2, 3]
-            })
+            }))
         );
         assert_eq!(
-            parse_query("marginal 1,2 9"),
-            ParsedLine::Query(Query::Marginal {
+            parse_request("marginal 1,2 9"),
+            ParsedRequest::Request(Request::Query(Query::Marginal {
                 base: vec![1, 2],
                 cand: vec![9]
-            })
+            }))
         );
-        assert_eq!(parse_query("ping"), ParsedLine::Query(Query::Ping));
+        assert_eq!(
+            parse_request("ping"),
+            ParsedRequest::Request(Request::Query(Query::Ping))
+        );
 
         for (line, needle) in [
             ("select", "missing k"),
@@ -909,8 +821,8 @@ mod tests {
             ("ping now", "trailing tokens"),
             ("frobnicate", "unknown query"),
         ] {
-            match parse_query(line) {
-                ParsedLine::Malformed(e) => {
+            match parse_request(line) {
+                ParsedRequest::Malformed(e) => {
                     assert!(e.contains(needle), "{line:?}: {e:?} missing {needle:?}")
                 }
                 other => panic!("{line:?}: expected Malformed, got {other:?}"),
@@ -920,32 +832,26 @@ mod tests {
 
     #[test]
     fn execute_answers_every_query_kind() {
-        let (mut e, labels) = backend();
-        let reply = handle_line(&mut e, &labels, "select 3").unwrap();
+        let (e, labels) = backend();
+        let reply = run(&e, &labels, "select 3");
         assert!(reply.line.starts_with("seeds: "));
         assert_eq!(reply.line.split_whitespace().count(), 4);
         assert!(reply.note.as_deref().unwrap().starts_with("select k=3"));
 
-        let fast = handle_line(&mut e, &labels, "select 2 fast").unwrap();
+        let fast = run(&e, &labels, "select 2 fast");
         assert!(fast.line.starts_with("seeds: "));
 
-        let spread = handle_line(&mut e, &labels, "eval 0,1").unwrap();
+        let spread = run(&e, &labels, "eval 0,1");
         assert!(spread.line.starts_with("spread: "));
 
-        let marginal = handle_line(&mut e, &labels, "marginal 0 1").unwrap();
+        let marginal = run(&e, &labels, "marginal 0 1");
         assert!(marginal.line.starts_with("marginal: "));
 
-        assert_eq!(
-            handle_line(&mut e, &labels, "ping").unwrap().line,
-            "pong tim/3"
-        );
-        assert!(handle_line(&mut e, &labels, "# skip").is_none());
-        assert!(handle_line(&mut e, &labels, "eval 99999")
-            .unwrap()
+        assert_eq!(run(&e, &labels, "ping").line, "pong tim/3");
+        assert!(run(&e, &labels, "eval 99999")
             .line
             .contains("label 99999 not present"));
-        assert!(handle_line(&mut e, &labels, "marginal 0 1,2")
-            .unwrap()
+        assert!(run(&e, &labels, "marginal 0 1,2")
             .line
             .contains("candidate must be a single id"));
     }
@@ -954,42 +860,47 @@ mod tests {
     fn out_of_range_sample_counts_answer_errors_and_the_engine_goes_on() {
         // ℓ = 1e300 overflows KPT's c_i and ε = 1e-12 refinement's θ′;
         // both must answer before any sampling, leaving the engine whole.
-        let (mut e, labels) = backend();
+        let (e, labels) = backend();
         for (line, needle) in [
             ("select 2 ell=1e300", "c_i = "),
             ("select 2 eps=1e-12", "theta' = "),
         ] {
-            let reply = handle_line(&mut e, &labels, line).unwrap().line;
+            let reply = run(&e, &labels, line).line;
             assert!(reply.starts_with("error: select: "), "{line}: {reply}");
             assert!(reply.contains(needle), "{line}: {reply}");
             assert!(reply.contains("pool limit"), "{line}: {reply}");
-            assert_eq!(
-                handle_line(&mut e, &labels, "ping").unwrap().line,
-                "pong tim/3"
-            );
+            assert_eq!(run(&e, &labels, "ping").line, "pong tim/3");
         }
-        assert!(handle_line(&mut e, &labels, "select 2")
-            .unwrap()
-            .line
-            .starts_with("seeds: "));
+        assert!(run(&e, &labels, "select 2").line.starts_with("seeds: "));
     }
 
     #[test]
     fn shared_backend_matches_exclusive_backend() {
-        let (mut exclusive, labels) = backend();
-        let (engine, _) = backend();
-        let shared = SharedEngine::new(engine);
-        let mut shared_ref = &shared;
-        for line in [
-            "select 4",
-            "select 2 fast",
-            "eval 0,5",
-            "marginal 0 7",
-            "ping",
+        // `execute` over a shared engine answers exactly what the
+        // exclusive engine's own verbs compute, formatted for the wire.
+        let (mut exclusive, labels) = exclusive();
+        let (shared, _) = backend();
+        let seeds = |seeds: Vec<NodeId>| {
+            let ids: Vec<String> = seeds.iter().map(|v| v.to_string()).collect();
+            format!("seeds: {}", ids.join(" "))
+        };
+        for (line, want) in [
+            ("select 4", seeds(exclusive.select(4).seeds)),
+            (
+                "select 2 fast",
+                seeds(exclusive.select_fast(2).unwrap().seeds),
+            ),
+            (
+                "eval 0,5",
+                format!("spread: {:.2}", exclusive.spread(&[0, 5]).unwrap()),
+            ),
+            (
+                "marginal 0 7",
+                format!("marginal: {:.2}", exclusive.marginal_gain(&[0], 7).unwrap()),
+            ),
+            ("ping", ping_reply()),
         ] {
-            let a = handle_line(&mut exclusive, &labels, line).unwrap();
-            let b = handle_line(&mut shared_ref, &labels, line).unwrap();
-            assert_eq!(a.line, b.line, "{line}");
+            assert_eq!(run(&shared, &labels, line).line, want, "{line}");
         }
     }
 
@@ -1042,15 +953,13 @@ mod tests {
                 "{line}"
             );
         }
-        // Every tim/1 line parses to the same Query through both entry
-        // points — the compatibility guarantee.
+        // Every tim/1 line is an engine-scoped query.
         for line in ["select 5 fast", "eval 1,2", "marginal 1 2", "ping"] {
-            let ParsedLine::Query(q) = parse_query(line) else {
-                panic!("{line}: not a query");
-            };
-            assert_eq!(
-                parse_request(line),
-                ParsedRequest::Request(Request::Query(q)),
+            assert!(
+                matches!(
+                    parse_request(line),
+                    ParsedRequest::Request(Request::Query(_))
+                ),
                 "{line}"
             );
         }

@@ -20,26 +20,22 @@
 //! # Batching
 //!
 //! `batch <n>` announces that the next `n` lines form one unit. The
-//! session buffers them, then executes them in order and returns all
-//! answer lines at once — the transport writes them with a single flush.
-//! Execution amortizes dispatch: engine routing is resolved per line
-//! first, then each *run of consecutive same-engine queries* executes
-//! under **one** read-lock acquisition ([`SharedEngine::read_handle`])
-//! instead of one per line. Answers are byte-identical to sending the
-//! same lines unbatched: per-line parsing, routing, and execution order
-//! are unchanged — only locking and IO are amortized (enforced by the
-//! `multi_graph` integration test).
+//! session buffers them, then answers each one, in order, through the
+//! same handler an unbatched line goes through, and returns all answer
+//! lines at once — the transport writes them with a single flush. That
+//! one write is the only amortization: every line parses, routes and
+//! executes exactly as it would unbatched, so answers are byte-identical
+//! (enforced by the `multi_graph` integration test).
 
 use crate::catalog::GraphState;
 use crate::protocol::{
-    execute, parse_request, ping_reply, ParsedRequest, Query, QueryBackend, Reply, Request,
-    MAX_BATCH_BYTES, OVERSIZED_BATCH_REPLY,
+    execute, parse_request, ping_reply, ParsedRequest, Query, Reply, Request, MAX_BATCH_BYTES,
+    OVERSIZED_BATCH_REPLY,
 };
 use crate::server::ServerState;
 use std::sync::Arc;
 use tim_diffusion::BackingModel;
-use tim_engine::{EngineError, EngineReadGuard, QueryOutcome, SharedEngine};
-use tim_graph::NodeId;
+use tim_engine::SharedEngine;
 
 /// A pending `batch <n>`: lines collected so far, with their byte total
 /// (bounded by [`MAX_BATCH_BYTES`]).
@@ -124,8 +120,6 @@ impl<'s, M: BackingModel + Send + Clone + 'static> Session<'s, M> {
             return Vec::new();
         }
         match parse_request(line) {
-            ParsedRequest::Empty => Vec::new(),
-            ParsedRequest::Malformed(e) => vec![format!("error: {e}")],
             ParsedRequest::Request(Request::Batch(n)) => {
                 self.batch = Some(BatchCollect {
                     expect: n,
@@ -134,7 +128,7 @@ impl<'s, M: BackingModel + Send + Clone + 'static> Session<'s, M> {
                 });
                 Vec::new()
             }
-            ParsedRequest::Request(req) => vec![self.answer(&req)],
+            parsed => self.answer_parsed(parsed).into_iter().collect(),
         }
     }
 
@@ -156,15 +150,32 @@ impl<'s, M: BackingModel + Send + Clone + 'static> Session<'s, M> {
         answers
     }
 
-    /// Answers one non-batch request.
+    /// The non-batch handler: no answer for a blank or comment line, an
+    /// `error: …` line for a malformed one, else the request's answer.
+    fn answer_parsed(&mut self, parsed: ParsedRequest) -> Option<String> {
+        match parsed {
+            ParsedRequest::Empty => None,
+            ParsedRequest::Malformed(e) => Some(format!("error: {e}")),
+            ParsedRequest::Request(req) => Some(self.answer(&req)),
+        }
+    }
+
+    /// Answers a completed batch: each buffered line, in order, through
+    /// the non-batch handler (so a nested `batch` answers an error).
+    fn run_batch(&mut self, lines: &[String]) -> Vec<String> {
+        lines
+            .iter()
+            .filter_map(|line| self.answer_parsed(parse_request(line)))
+            .collect()
+    }
+
+    /// Answers one request; a `batch` here is a nested one.
     fn answer(&mut self, req: &Request) -> String {
         match req {
             // Liveness must not load graphs or build pools.
             Request::Query(Query::Ping) => ping_reply(),
             Request::Query(query) => match self.route(query) {
-                Ok((graph, engine)) => {
-                    self.reply_line(execute(&mut &*engine, graph.labels(), query))
-                }
+                Ok((graph, engine)) => self.reply_line(execute(&engine, graph.labels(), query)),
                 Err(e) => format!("error: {e}"),
             },
             Request::Use(name) => {
@@ -328,140 +339,6 @@ impl<'s, M: BackingModel + Send + Clone + 'static> Session<'s, M> {
             }
         }
         reply.line
-    }
-
-    /// Executes a completed batch: resolve routing per line in order
-    /// (session verbs apply immediately, so a `use` mid-batch routes the
-    /// lines after it), then run each maximal run of consecutive
-    /// same-engine queries under a single read-lock acquisition.
-    fn run_batch(&mut self, lines: &[String]) -> Vec<String> {
-        enum Step<M> {
-            Ready(String),
-            Query {
-                graph: Arc<GraphState<M>>,
-                engine: Arc<SharedEngine<M>>,
-                query: Query,
-            },
-        }
-        let mut steps: Vec<Step<M>> = Vec::with_capacity(lines.len());
-        for line in lines {
-            match parse_request(line) {
-                ParsedRequest::Empty => {}
-                ParsedRequest::Malformed(e) => steps.push(Step::Ready(format!("error: {e}"))),
-                ParsedRequest::Request(Request::Query(query)) => {
-                    if matches!(query, Query::Ping) {
-                        steps.push(Step::Ready(ping_reply()));
-                        continue;
-                    }
-                    match self.route(&query) {
-                        Ok((graph, engine)) => steps.push(Step::Query {
-                            graph,
-                            engine,
-                            query,
-                        }),
-                        Err(e) => steps.push(Step::Ready(format!("error: {e}"))),
-                    }
-                }
-                ParsedRequest::Request(req) => steps.push(Step::Ready(self.answer(&req))),
-            }
-        }
-
-        let mut answers = Vec::with_capacity(steps.len());
-        let mut i = 0;
-        while i < steps.len() {
-            match &steps[i] {
-                Step::Ready(line) => {
-                    answers.push(line.clone());
-                    i += 1;
-                }
-                Step::Query { engine, .. } => {
-                    let run_engine = Arc::clone(engine);
-                    let mut j = i;
-                    while j < steps.len() {
-                        match &steps[j] {
-                            Step::Query { engine, .. } if Arc::ptr_eq(engine, &run_engine) => {
-                                j += 1;
-                            }
-                            _ => break,
-                        }
-                    }
-                    let mut backend = BatchBackend::new(&run_engine);
-                    for step in &steps[i..j] {
-                        let Step::Query { graph, query, .. } = step else {
-                            unreachable!("run contains only queries");
-                        };
-                        answers.push(self.reply_line(execute(&mut backend, graph.labels(), query)));
-                    }
-                    i = j;
-                }
-            }
-        }
-        answers
-    }
-}
-
-/// A [`QueryBackend`] that answers a run of batch queries under one held
-/// read lock, falling back to (and re-acquiring after) the blocking
-/// write path only when a query misses the read-only fast path. Answers
-/// are identical either way — only lock traffic is amortized.
-struct BatchBackend<'e, M> {
-    engine: &'e SharedEngine<M>,
-    guard: Option<EngineReadGuard<'e, M>>,
-}
-
-impl<'e, M: BackingModel + Clone> BatchBackend<'e, M> {
-    fn new(engine: &'e SharedEngine<M>) -> Self {
-        BatchBackend {
-            engine,
-            guard: Some(engine.read_handle()),
-        }
-    }
-
-    fn guard(&mut self) -> &EngineReadGuard<'e, M> {
-        if self.guard.is_none() {
-            self.guard = Some(self.engine.read_handle());
-        }
-        self.guard.as_ref().expect("guard just acquired")
-    }
-}
-
-impl<M: BackingModel + Clone> QueryBackend for BatchBackend<'_, M> {
-    fn select_with(
-        &mut self,
-        k: usize,
-        eps: Option<f64>,
-        ell: Option<f64>,
-    ) -> Result<QueryOutcome, EngineError> {
-        if let Some(out) = self.guard().try_select_with(k, eps, ell) {
-            return Ok(out);
-        }
-        // Must not hold the read lock across the blocking (write) path.
-        self.guard = None;
-        self.engine.select_with(k, eps, ell)
-    }
-
-    fn select_fast(&mut self, k: usize) -> Result<QueryOutcome, EngineError> {
-        if let Some(out) = self.guard().try_select_fast(k) {
-            return Ok(out);
-        }
-        self.guard = None;
-        self.engine.select_fast(k)
-    }
-
-    fn spread(&mut self, seeds: &[NodeId]) -> Result<f64, EngineError> {
-        if let Some(s) = self.guard().try_spread(seeds) {
-            return Ok(s);
-        }
-        self.guard = None;
-        self.engine.spread(seeds)
-    }
-
-    fn marginal_gain(&mut self, base: &[NodeId], candidate: NodeId) -> Result<f64, EngineError> {
-        if let Some(m) = self.guard().try_marginal_gain(base, candidate) {
-            return Ok(m);
-        }
-        self.guard = None;
-        self.engine.marginal_gain(base, candidate)
     }
 }
 
@@ -695,10 +572,10 @@ mod tests {
     }
 
     #[test]
-    fn batch_grouping_amortizes_without_changing_answers() {
+    fn batch_over_mixed_engines_matches_unbatched_lines() {
         let state = two_graph_state();
-        // Mixed engines: defaults and an eps override, interleaved so the
-        // grouping logic sees several runs.
+        // Default-pool queries interleaved with an ε override, which
+        // answers from a pool of its own.
         let lines = [
             "select 2",
             "select 3",
@@ -718,5 +595,57 @@ mod tests {
             got.extend(batched.push_line(l));
         }
         assert_eq!(got, want);
+    }
+
+    /// A resident 300-node directed cycle `v → v+1 (mod 300)` with p = 1:
+    /// every RR set holds every node, so spread saturates and a `select`
+    /// past `k_max` = 8 grows the default pool.
+    fn saturated_cycle_state(pool_dir: &std::path::Path) -> ServerState<IndependentCascade> {
+        let config = ServerConfig {
+            epsilon: 0.8,
+            seed: 7,
+            k_max: 8,
+            sample_threads: 1,
+            pool_dir: Some(pool_dir.to_path_buf()),
+            persist_pools: false,
+            admin: true,
+            ..ServerConfig::default()
+        };
+        ServerState::new(
+            gen::directed_cycle(300, 1.0),
+            LabelMap::identity(300),
+            IndependentCascade,
+            "ic",
+            config,
+        )
+    }
+
+    #[test]
+    fn batched_admin_lines_run_after_the_queries_before_them() {
+        let dir = std::env::temp_dir().join(format!("tim_session_batch_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let transcript = |tag: &str, input: &[&str]| {
+            let state = saturated_cycle_state(&dir.join(tag));
+            let mut s = state.session();
+            let mut out: Vec<String> = input.iter().flat_map(|l| s.push_line(l)).collect();
+            out.extend(s.finish());
+            (out, state.default_engine().pool_theta())
+        };
+        let warm_theta = saturated_cycle_state(&dir.join("warm")).warm_default();
+
+        let lines = ["select 12", "persist", "persist"];
+        let (want, grown) = transcript("plain", &lines);
+        assert!(
+            grown > warm_theta,
+            "select 12 grows the pool: {warm_theta} -> {grown}"
+        );
+        assert_eq!(want[1..], ["persisted 1 pool(s)", "persisted 0 pool(s)"]);
+
+        let (got, _) = transcript("batched", &["batch 2", "select 12", "persist", "persist"]);
+        assert_eq!(
+            got, want,
+            "a batch answers exactly like its lines unbatched"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

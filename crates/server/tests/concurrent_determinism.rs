@@ -8,12 +8,22 @@ use std::sync::Arc;
 use tim_diffusion::IndependentCascade;
 use tim_engine::QueryEngine;
 use tim_graph::{gen, weights, Graph};
-use tim_server::{protocol, LabelMap, Server, ServerConfig, ServerState};
+use tim_server::{LabelMap, Server, ServerConfig, ServerState};
+
+mod common;
 
 fn wc_graph() -> Graph {
     let mut g = gen::barabasi_albert(300, 4, 0.0, 1);
     weights::assign_weighted_cascade(&mut g);
     g
+}
+
+/// A near-saturated cycle: one seed reaches most of the graph, so the
+/// KPT bound barely rises with `k` and a `select` past `k_max` grows the
+/// pool, while partial RR sets keep every answer sensitive to θ and to
+/// the pool's contents.
+fn lossy_cycle(n: usize) -> Graph {
+    gen::directed_cycle(n, 0.999)
 }
 
 fn config() -> ServerConfig {
@@ -29,10 +39,10 @@ fn config() -> ServerConfig {
     }
 }
 
-/// Serial ground truth: the same lines through an exclusive engine with
-/// the same provenance, via the very same protocol implementation.
-fn serial_replay(lines: &[String]) -> Vec<String> {
-    let g = wc_graph();
+/// Serial ground truth: the same lines through an exclusive engine over
+/// `g` with the same provenance, via the very same protocol
+/// implementation.
+fn serial_replay(g: Graph, lines: &[String]) -> Vec<String> {
     let labels = LabelMap::identity(g.n());
     let cfg = config();
     let mut engine = QueryEngine::new(g, IndependentCascade, "ic")
@@ -42,17 +52,15 @@ fn serial_replay(lines: &[String]) -> Vec<String> {
         .threads(cfg.sample_threads)
         .k_max(cfg.k_max);
     engine.warm().unwrap();
-    lines
-        .iter()
-        .filter_map(|l| protocol::handle_line(&mut engine, &labels, l).map(|r| r.line))
-        .collect()
+    common::serial_replay(engine, &labels, lines)
 }
 
-fn start_server() -> (
+fn start_server(
+    g: Graph,
+) -> (
     Arc<ServerState<IndependentCascade>>,
     tim_server::ServerHandle,
 ) {
-    let g = wc_graph();
     let labels = LabelMap::identity(g.n());
     let state = Arc::new(ServerState::new(
         g,
@@ -99,10 +107,10 @@ fn interleaved_clients_get_byte_identical_answers() {
     .iter()
     .map(|s| s.to_string())
     .collect();
-    let want = serial_replay(&script);
+    let want = serial_replay(wc_graph(), &script);
     assert_eq!(want.len(), 11, "9 answers + 1 pong + 1 error");
 
-    let (_state, handle) = start_server();
+    let (_state, handle) = start_server(wc_graph());
     let addr = handle.addr();
     let clients: Vec<_> = (0..6)
         .map(|i| {
@@ -120,24 +128,26 @@ fn interleaved_clients_get_byte_identical_answers() {
     // Answers must match a serial replay of each client's own order.
     for c in clients {
         let (sent, got) = c.join().unwrap();
-        assert_eq!(got, serial_replay(&sent));
+        assert_eq!(got, serial_replay(wc_graph(), &sent));
     }
     handle.stop();
 }
 
 #[test]
 fn pool_growth_keeps_exact_replay_byte_identical() {
-    // k = 12 > k_max = 8 forces the default pool to grow mid-session.
-    // Exact-replay selects carve their plan's θ-prefix out of whatever
-    // the pool holds, so even clients racing the growth get answers
-    // byte-identical to the serial replay.
+    // k = 12 > k_max = 8 forces the default pool to grow mid-session
+    // (on the near-saturated cycle; on a weighted-cascade graph θ(12)
+    // fits in the warm pool). Exact-replay selects carve their plan's
+    // θ-prefix out of whatever the pool holds, so even clients racing
+    // the growth get answers byte-identical to the serial replay.
     let script: Vec<String> = ["select 12", "select 3", "select 8", "select 1"]
         .iter()
         .map(|s| s.to_string())
         .collect();
-    let want = serial_replay(&script);
+    let want = serial_replay(lossy_cycle(300), &script);
 
-    let (_state, handle) = start_server();
+    let (state, handle) = start_server(lossy_cycle(300));
+    let warm_theta = state.warm_default();
     let addr = handle.addr();
     let clients: Vec<_> = (0..4)
         .map(|i| {
@@ -153,19 +163,30 @@ fn pool_growth_keeps_exact_replay_byte_identical() {
         let (sent, got) = c.join().unwrap();
         // Same multiset of answers as the serial replay, in the client's
         // own command order.
-        let mut expect: Vec<String> = serial_replay(&sent);
+        let mut expect: Vec<String> = serial_replay(lossy_cycle(300), &sent);
         assert_eq!(got, expect);
         expect.sort();
         let mut sorted_want = want.clone();
         sorted_want.sort();
         assert_eq!(expect, sorted_want);
     }
+    let grown = state.default_engine().pool_theta();
+    assert!(
+        grown > warm_theta,
+        "default pool grew: {warm_theta} -> {grown}"
+    );
     handle.stop();
 }
 
-/// Serves a v2 snapshot of a weighted BA graph (sparse `v*10+3` labels)
-/// from the heap or zero-copy mapped, with a small warm pool.
-fn snapshot_server(path: &std::path::Path, mmap: bool) -> tim_server::ServerHandle {
+/// Serves a v2 snapshot (sparse `v*10+3` labels) from the heap or
+/// zero-copy mapped, with a small warm pool.
+fn snapshot_server(
+    path: &std::path::Path,
+    mmap: bool,
+) -> (
+    Arc<ServerState<IndependentCascade>>,
+    tim_server::ServerHandle,
+) {
     let config = ServerConfig {
         threads: 2,
         epsilon: 1.0,
@@ -180,27 +201,32 @@ fn snapshot_server(path: &std::path::Path, mmap: bool) -> tim_server::ServerHand
     let catalog = tim_server::GraphCatalog::new(IndependentCascade, "ic", config);
     catalog.add_path("g", path).unwrap();
     let state = Arc::new(ServerState::from_catalog(catalog, "g").unwrap());
-    Server::bind(state, "127.0.0.1:0").unwrap().start()
+    let handle = Server::bind(Arc::clone(&state), "127.0.0.1:0")
+        .unwrap()
+        .start();
+    (state, handle)
 }
 
 #[test]
 fn pool_growth_race_mid_session_stays_deterministic() {
-    // Client A forces pool growth mid-session (ε tightens 1.0 → 0.35, a
-    // ~8x θ demand, exercising the SharedEngine write upgrade) while
-    // client B hammers warm-pool queries on a second connection. Each
-    // client's transcript must match the same sessions run one after
-    // the other on the heap backing — on both backings.
+    // Client A forces the default pool to grow mid-session (k = 6 past
+    // k_max = 4 on the near-saturated cycle, exercising the SharedEngine
+    // write upgrade) and builds an ε = 0.35 pool while client B hammers
+    // warm-pool queries on a second connection. A's transcript must
+    // match the same sessions run one after the other on the heap
+    // backing; each of B's answers must match B's serial answer from
+    // before A's growth or from after it — on both backings.
     let dir = std::env::temp_dir().join(format!("tim_growth_race_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("g.timg");
-    let mut g = gen::barabasi_albert(150, 3, 0.0, 3);
-    weights::assign_weighted_cascade(&mut g);
+    let g = lossy_cycle(150);
     let labels: Vec<u64> = (0..g.n() as u64).map(|v| v * 10 + 3).collect();
     tim_graph::snapshot::save_snapshot_v2(&g, &labels, &path).unwrap();
 
     let a_mix: Vec<String> = [
         "select 3",
-        "select 4 eps=0.35", // grows the pool mid-session
+        "select 6",          // grows the default pool mid-session
+        "select 4 eps=0.35", // builds a second pool mid-session
         "select 2",
         "select 3 eps=0.35",
         "eval 3,13",
@@ -219,14 +245,17 @@ fn pool_growth_race_mid_session_stays_deterministic() {
     .map(|s| s.to_string())
     .collect();
 
-    let handle = snapshot_server(&path, false);
+    let (_, handle) = snapshot_server(&path, false);
+    let b_pre = run_client(handle.addr(), &b_mix);
     let a_want = run_client(handle.addr(), &a_mix);
     let b_want = run_client(handle.addr(), &b_mix);
     handle.stop();
     assert!(a_want.iter().all(|l| !l.starts_with("error")), "{a_want:?}");
+    assert_ne!(b_pre, b_want, "B's answers depend on the pool's size");
 
     for mmap in [false, true] {
-        let handle = snapshot_server(&path, mmap);
+        let (state, handle) = snapshot_server(&path, mmap);
+        let warm_theta = state.warm_default();
         let addr = handle.addr();
         let a = {
             let a_mix = a_mix.clone();
@@ -237,7 +266,17 @@ fn pool_growth_race_mid_session_stays_deterministic() {
             std::thread::spawn(move || run_client(addr, &b_mix))
         };
         assert_eq!(a.join().unwrap(), a_want, "mmap={mmap}: grower diverged");
-        assert_eq!(b.join().unwrap(), b_want, "mmap={mmap}: reader diverged");
+        common::assert_pre_or_post_growth(
+            &b.join().unwrap(),
+            &b_pre,
+            &b_want,
+            &format!("mmap={mmap}: reader"),
+        );
+        let grown = state.default_engine().pool_theta();
+        assert!(
+            grown > warm_theta,
+            "mmap={mmap}: default pool grew: {warm_theta} -> {grown}"
+        );
         handle.stop();
     }
     std::fs::remove_dir_all(&dir).ok();

@@ -17,9 +17,9 @@ use std::sync::Arc;
 use tim_diffusion::IndependentCascade;
 use tim_engine::QueryEngine;
 use tim_graph::{gen, io, weights, Graph};
-use tim_server::{
-    protocol, GraphCatalog, LabelMap, Server, ServerConfig, ServerHandle, ServerState,
-};
+use tim_server::{GraphCatalog, LabelMap, Server, ServerConfig, ServerHandle, ServerState};
+
+mod common;
 
 fn config() -> ServerConfig {
     ServerConfig {
@@ -97,10 +97,7 @@ fn serial_replay(dir: &std::path::Path, i: u64, lines: &[&str]) -> Vec<String> {
         .threads(cfg.sample_threads)
         .k_max(cfg.k_max);
     engine.warm().unwrap();
-    lines
-        .iter()
-        .filter_map(|l| protocol::handle_line(&mut engine, &labels, l).map(|r| r.line))
-        .collect()
+    common::serial_replay(engine, &labels, lines)
 }
 
 /// Sends `lines` over one connection and collects the response lines.

@@ -316,6 +316,23 @@ if [ "$(grep -c '^error: select: ' out/kick-tires/extreme_eps.txt)" != 2 ] \
 fi
 echo "extreme eps/ell answered with errors, session continued: OK"
 
+echo "== batch contract: a batch answers like its lines unbatched =="
+# A 300-node directed cycle with p = 1: spread saturates, so `select 12`
+# past -k 8 grows the pool, and the `persist` after it must see that.
+CYCLE=out/kick-tires/cycle300.txt
+for v in $(seq 0 299); do echo "$v $(( (v + 1) % 300 ))"; done > "$CYCLE"
+for mode in plain batched; do
+    rm -rf "out/kick-tires/batch_pools_$mode"
+    if [ "$mode" = batched ]; then PREFIX='batch 2\n'; else PREFIX=''; fi
+    printf "${PREFIX}select 12\npersist\npersist\n" \
+        | "$TIM" query "$CYCLE" --pool-dir "out/kick-tires/batch_pools_$mode" --admin \
+            --weights const:1 -k 8 --eps 0.8 --seed 7 --quiet \
+        > "out/kick-tires/batch_contract_$mode.txt"
+done
+diff out/kick-tires/batch_contract_plain.txt out/kick-tires/batch_contract_batched.txt
+grep -q '^persisted 0 pool(s)$' out/kick-tires/batch_contract_batched.txt
+echo "batched == unbatched transcript (select 12 / persist / persist): OK"
+
 echo "== experiment driver (quick): Figure 4 phase breakdown =="
 cargo run --release -p tim_bench --bin experiments -- fig4 --quick --scale 0.2 \
     | tee out/kick-tires/fig4_quick.txt
