@@ -11,10 +11,11 @@
 //! | Paper | Module | Entry point |
 //! |---|---|---|
 //! | Algorithm 2, `KptEstimation` | [`kpt`] | [`kpt::estimate_kpt`] |
-//! | Algorithm 3, `RefineKPT` (the TIM+ heuristic, §4.1) | [`refine`] | [`refine::refine_kpt`] |
+//! | Algorithm 3, `RefineKPT` (the TIM+ heuristic, §4.1) | [`refine`] | [`refine::refine_candidate`] (lines 2–6), [`refine::refine_bound`] (lines 7–12) |
 //! | Algorithm 1, `NodeSelection` | [`select`] | [`select::node_selection`] |
 //! | λ, θ, ε′, `ln C(n, k)` (Equations 4, 9; §4.1) | [`math`] | — |
 //! | End-to-end drivers (§3.3) | [`tim`] | [`Tim`], [`TimPlus`] |
+//! | Per-graph memo of the ε-free plan half | [`memo`] | [`TimPlus::try_plan_memo`] |
 //!
 //! ```
 //! use tim_core::TimPlus;
@@ -34,12 +35,14 @@
 pub mod imm;
 pub mod kpt;
 pub mod math;
+pub mod memo;
 pub mod parallel;
 pub mod refine;
 pub mod select;
 pub mod tim;
 
 pub use imm::{Imm, ImmResult};
+pub use memo::KptMemo;
 pub use tim::{
     select_stream_seed, GreedyImpl, PhaseTimings, SamplingPlan, Tim, TimPlus, TimResult,
 };

@@ -13,7 +13,8 @@
 
 use crate::kpt::estimate_kpt;
 use crate::math::{adjusted_ell, lambda, sample_count, SampleCountError};
-use crate::refine::refine_kpt;
+use crate::memo::{KptMemo, KptSummary, MemoKey};
+use crate::refine::{refine_bound, refine_candidate};
 use crate::select::node_selection;
 use std::time::{Duration, Instant};
 use tim_diffusion::DiffusionModel;
@@ -21,7 +22,7 @@ use tim_graph::{CsrAccess, NodeId};
 use tim_rng::{RandomSource, Rng};
 
 /// Which greedy max-coverage implementation the selection phases use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum GreedyImpl {
     /// Lazy max-heap (CELF-style); the default.
     #[default]
@@ -232,7 +233,7 @@ impl<M> Tim<M> {
     where
         M: DiffusionModel<G> + Sync,
     {
-        plan_impl(&self.model, &self.cfg, graph, k, false).unwrap_or_else(|e| panic!("{e}"))
+        plan_impl(&self.model, &self.cfg, graph, k, false, None).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Selects `k` seeds on `graph`.
@@ -311,7 +312,38 @@ impl<M> TimPlus<M> {
     where
         M: DiffusionModel<G> + Sync,
     {
-        plan_impl(&self.model, &self.cfg, graph, k, true)
+        plan_impl(&self.model, &self.cfg, graph, k, true, None)
+    }
+
+    /// [`try_plan`](Self::try_plan) through a per-graph [`KptMemo`]: the
+    /// ε-free half of the plan (KPT* and RefineKPT's candidate) is
+    /// computed once per `(model_tag, k, ℓ_eff, seed, greedy)` and reused
+    /// by every later plan of that key, whatever its ε. The plan is
+    /// bit-identical to [`try_plan`](Self::try_plan)'s, down to
+    /// `estimation_rr_sets`; only `phases.parameter_estimation` differs —
+    /// zero on a memo hit.
+    ///
+    /// `memo` must only ever see `graph`, and `model_tag` must name this
+    /// planner's model: planners of different models sharing a memo need
+    /// different tags. A failed estimation is returned, not memoized.
+    pub fn try_plan_memo<G: CsrAccess>(
+        &self,
+        graph: &G,
+        k: usize,
+        memo: &KptMemo,
+        model_tag: &str,
+    ) -> Result<SamplingPlan, SampleCountError>
+    where
+        M: DiffusionModel<G> + Sync,
+    {
+        plan_impl(
+            &self.model,
+            &self.cfg,
+            graph,
+            k,
+            true,
+            Some((memo, model_tag)),
+        )
     }
 
     /// Selects `k` seeds on `graph`.
@@ -333,6 +365,7 @@ fn plan_impl<G: CsrAccess, M: DiffusionModel<G> + Sync>(
     graph: &G,
     k: usize,
     refine: bool,
+    memo: Option<(&KptMemo, &str)>,
 ) -> Result<SamplingPlan, SampleCountError> {
     assert!(k >= 1, "k must be at least 1");
     assert!(graph.n() >= 2, "graph must have at least 2 nodes");
@@ -351,29 +384,42 @@ fn plan_impl<G: CsrAccess, M: DiffusionModel<G> + Sync>(
 
     let mut phases = PhaseTimings::default();
 
-    // Phase 1: Algorithm 2.
-    let t0 = Instant::now();
-    let kpt = estimate_kpt(graph, model, k as u64, ell_eff, &mut kpt_rng)?;
-    phases.parameter_estimation = t0.elapsed();
-    let kpt_star = kpt.kpt_star;
-    let mut estimation_rr_sets = kpt.total_rr_sets;
+    // Phase 1: Algorithm 2, plus RefineKPT's ε-free candidate step
+    // (TIM+ only) — from the memo when one is given and holds the key.
+    let greedy = refine.then_some(cfg.greedy);
+    let mut estimate = || summarize(graph, model, k, ell_eff, &mut kpt_rng, greedy, &mut phases);
+    let summary = match memo {
+        None => estimate()?,
+        Some((memo, tag)) => {
+            let key = MemoKey {
+                model: tag.to_owned(),
+                k,
+                ell_eff_bits: ell_eff.to_bits(),
+                seed: cfg.seed,
+                greedy: cfg.greedy,
+            };
+            memo.get_or_compute(key, estimate)?
+        }
+    };
+    let kpt_star = summary.kpt_star;
+    let mut estimation_rr_sets = summary.total_rr_sets;
 
-    // Intermediate step: Algorithm 3 (TIM+ only).
+    // Intermediate step: the rest of Algorithm 3 (TIM+ only).
     let (bound, kpt_plus, eps_prime) = if refine {
         let t1 = Instant::now();
-        let refined = refine_kpt(
+        let refined = refine_bound(
             graph,
             model,
             k,
             cfg.epsilon,
             ell_eff,
-            kpt,
+            kpt_star,
+            &summary.candidate,
             cfg.eps_prime_override,
             &mut refine_rng,
             cfg.threads,
-            cfg.greedy,
         )?;
-        phases.refinement = t1.elapsed();
+        phases.refinement += t1.elapsed();
         estimation_rr_sets += refined.theta_prime;
         (
             refined.kpt_plus,
@@ -401,6 +447,36 @@ fn plan_impl<G: CsrAccess, M: DiffusionModel<G> + Sync>(
     })
 }
 
+/// Algorithm 2 and, when `greedy` is given (TIM+), RefineKPT's candidate
+/// step: the ε-free half of a plan, timed into `phases`.
+fn summarize<G: CsrAccess, M: DiffusionModel<G> + Sync>(
+    graph: &G,
+    model: &M,
+    k: usize,
+    ell_eff: f64,
+    kpt_rng: &mut Rng,
+    greedy: Option<GreedyImpl>,
+    phases: &mut PhaseTimings,
+) -> Result<KptSummary, SampleCountError> {
+    let t0 = Instant::now();
+    let mut kpt = estimate_kpt(graph, model, k as u64, ell_eff, kpt_rng)?;
+    phases.parameter_estimation = t0.elapsed();
+    let candidate = match greedy {
+        Some(greedy) => {
+            let t1 = Instant::now();
+            let candidate = refine_candidate(&mut kpt, k, greedy);
+            phases.refinement = t1.elapsed();
+            candidate
+        }
+        None => Vec::new(),
+    };
+    Ok(KptSummary {
+        kpt_star: kpt.kpt_star,
+        total_rr_sets: kpt.total_rr_sets,
+        candidate,
+    })
+}
+
 fn run_impl<G: CsrAccess, M: DiffusionModel<G> + Sync>(
     model: &M,
     cfg: &Config,
@@ -408,7 +484,7 @@ fn run_impl<G: CsrAccess, M: DiffusionModel<G> + Sync>(
     k: usize,
     refine: bool,
 ) -> TimResult {
-    let plan = plan_impl(model, cfg, graph, k, refine).unwrap_or_else(|e| panic!("{e}"));
+    let plan = plan_impl(model, cfg, graph, k, refine, None).unwrap_or_else(|e| panic!("{e}"));
     let mut phases = plan.phases;
 
     // Phase 2: Algorithm 1 with the planned θ.

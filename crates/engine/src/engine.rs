@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use tim_core::math::sample_count;
 use tim_core::parallel::{generate_rr_sets, shard_layout};
-use tim_core::{select_stream_seed, SamplingPlan, TimPlus};
+use tim_core::{select_stream_seed, KptMemo, SamplingPlan, TimPlus};
 use tim_coverage::{
     greedy_max_cover, greedy_max_cover_indexed, CoverResult, SetCollection, SetsAccess, SetsStore,
     SetsView,
@@ -101,6 +101,9 @@ pub struct QueryEngine<M> {
     pool_theta: u64,
     /// Plan cache keyed by `(k, ε bits, ℓ bits)`.
     plans: BTreeMap<(usize, u64, u64), SamplingPlan>,
+    /// The ε-free half of every plan (KPT*, RefineKPT's candidate),
+    /// shareable with the graph's other engines.
+    kpt_memo: Arc<KptMemo>,
     fast: Option<FastCover>,
 }
 
@@ -147,6 +150,7 @@ impl<M: BackingModel + Clone> QueryEngine<M> {
             pool: SetsStore::heap(SetCollection::new(n)),
             pool_theta: 0,
             plans: BTreeMap::new(),
+            kpt_memo: Arc::default(),
             fast: None,
         }
     }
@@ -190,6 +194,18 @@ impl<M: BackingModel + Clone> QueryEngine<M> {
     pub fn k_max(mut self, k_max: usize) -> Self {
         assert!(k_max >= 1, "k_max must be at least 1");
         self.k_max = k_max;
+        self
+    }
+
+    /// Plans through `memo` instead of an engine-private one, so engines
+    /// of one graph at different ε/ℓ share Algorithm 2 and RefineKPT's
+    /// candidate step (see [`TimPlus::try_plan_memo`]). Answers never
+    /// change. `memo` must only serve this engine's graph; its entries
+    /// are keyed by the engine's model tag, so engines of different
+    /// models may share it only under different tags.
+    #[must_use]
+    pub fn kpt_memo(mut self, memo: Arc<KptMemo>) -> Self {
+        self.kpt_memo = memo;
         self
     }
 
@@ -436,7 +452,8 @@ impl<M: BackingModel + Clone> QueryEngine<M> {
         Ok(self.pool_theta)
     }
 
-    /// Computes (and caches) the sampling plan for `k` under `(eps, ell)`.
+    /// Computes (and caches) the sampling plan for `k` under `(eps, ell)`,
+    /// taking its ε-free half from the KPT memo.
     fn plan_for(&mut self, k: usize, eps: f64, ell: f64) -> Result<SamplingPlan, EngineError> {
         let key = (k, eps.to_bits(), ell.to_bits());
         if let Some(plan) = self.plans.get(&key) {
@@ -449,9 +466,10 @@ impl<M: BackingModel + Clone> QueryEngine<M> {
             .threads(self.threads);
         // Dispatch once on the backing; the planner body is monomorphized
         // per concrete CSR type, so the heap path keeps its old codegen.
+        let (memo, tag) = (&*self.kpt_memo, self.model_name.as_str());
         let plan = match self.store.view() {
-            CsrView::Heap(g) => planner.try_plan(g, k),
-            CsrView::Mmap(v) => planner.try_plan(v, k),
+            CsrView::Heap(g) => planner.try_plan_memo(g, k, memo, tag),
+            CsrView::Mmap(v) => planner.try_plan_memo(v, k, memo, tag),
         }?;
         self.plans.insert(key, plan.clone());
         Ok(plan)

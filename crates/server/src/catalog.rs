@@ -43,16 +43,18 @@ use crate::server::ServerConfig;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, RwLock, Weak};
+use tim_core::KptMemo;
 use tim_diffusion::BackingModel;
 use tim_engine::{PoolStore, ProbedPool, QueryEngine, SharedEngine};
 use tim_graph::catalog::GraphOverrides;
 use tim_graph::{io, weights, Graph, GraphStore};
 
 /// Everything one served graph needs, shared immutably across sessions:
-/// the graph, its label map, the model, the effective configuration, and
-/// the graph's own pool cache (optionally backed by a persistent
-/// [`PoolStore`]). (One `GraphState` is exactly what a single-graph
-/// `tim/1` server used to hold as its whole state.)
+/// the graph, its label map, the model, the effective configuration, the
+/// graph's own pool cache (optionally backed by a persistent
+/// [`PoolStore`]), and the KPT memo every pool of the graph plans
+/// through. (One `GraphState` is exactly what a single-graph `tim/1`
+/// server used to hold as its whole state.)
 #[derive(Debug)]
 pub struct GraphState<M> {
     name: String,
@@ -62,6 +64,9 @@ pub struct GraphState<M> {
     model_name: String,
     config: Arc<ServerConfig>,
     cache: PoolCache<M>,
+    /// Algorithm 2 and RefineKPT's candidate step, once per
+    /// `(k, ℓ, seed)` for every ε pool of this graph; dropped with it.
+    kpt_memo: Arc<KptMemo>,
 }
 
 impl<M: BackingModel + Send + Clone + 'static> GraphState<M> {
@@ -140,6 +145,7 @@ impl<M: BackingModel + Send + Clone + 'static> GraphState<M> {
             model_name: model_name.into(),
             cache,
             config,
+            kpt_memo: Arc::default(),
         }
     }
 
@@ -208,7 +214,8 @@ impl<M: BackingModel + Send + Clone + 'static> GraphState<M> {
         .epsilon(eps)
         .ell(ell)
         .seed(self.config.seed)
-        .k_max(self.config.k_max);
+        .k_max(self.config.k_max)
+        .kpt_memo(Arc::clone(&self.kpt_memo));
         if self.config.sample_threads > 0 {
             engine = engine.threads(self.config.sample_threads);
         }
@@ -238,7 +245,8 @@ impl<M: BackingModel + Send + Clone + 'static> GraphState<M> {
                 mapped,
             ),
         }
-        .map_err(|e| e.to_string())?;
+        .map_err(|e| e.to_string())?
+        .kpt_memo(Arc::clone(&self.kpt_memo));
         if self.config.sample_threads > 0 {
             engine = engine.threads(self.config.sample_threads);
         }
@@ -283,6 +291,7 @@ impl<M: BackingModel + Send + Clone + 'static> GraphState<M> {
             meta.epsilon,
             meta.ell,
         );
+        let engine = engine.kpt_memo(Arc::clone(&self.kpt_memo));
         self.cache.insert(key, SharedEngine::new(engine))
     }
 
@@ -316,7 +325,9 @@ impl<M: BackingModel + Send + Clone + 'static> GraphState<M> {
     /// (hit/miss/build/load/spill/evict) plus the store's quarantine and
     /// restore-backing counters (`mmap_opens`/`verifies`/`heap_loads` —
     /// how restores were served: zero-copy mapped, checksum-verified,
-    /// or heap-decoded). Deliberately **not** deterministic across
+    /// or heap-decoded) and the KPT memo's `kpt_hits`/`kpt_misses`
+    /// (plans that reused an estimation / estimations run).
+    /// Deliberately **not** deterministic across
     /// interleavings — it reports live effectiveness, which is the
     /// point: the warm-path claim (`builds=0` with `mmap_opens>0` after
     /// a warm restart under `--mmap-pools`) is observable, not inferred.
@@ -325,7 +336,7 @@ impl<M: BackingModel + Send + Clone + 'static> GraphState<M> {
         let store = self.pool_store().map(|store| store.stats());
         let store = store.unwrap_or_default();
         format!(
-            "pools: graph={} cached={} hits={} misses={} builds={} loads={} spills={} evictions={} quarantined={} mmap_opens={} verifies={} heap_loads={}",
+            "pools: graph={} cached={} hits={} misses={} builds={} loads={} spills={} evictions={} quarantined={} mmap_opens={} verifies={} heap_loads={} kpt_hits={} kpt_misses={}",
             self.name,
             self.cache.len(),
             s.hits,
@@ -338,6 +349,8 @@ impl<M: BackingModel + Send + Clone + 'static> GraphState<M> {
             store.mmap_opens,
             store.verifies,
             store.heap_loads,
+            self.kpt_memo.hits(),
+            self.kpt_memo.misses(),
         )
     }
 }

@@ -333,6 +333,25 @@ diff out/kick-tires/batch_contract_plain.txt out/kick-tires/batch_contract_batch
 grep -q '^persisted 0 pool(s)$' out/kick-tires/batch_contract_batched.txt
 echo "batched == unbatched transcript (select 12 / persist / persist): OK"
 
+echo "== KPT memo: a fresh-eps select reuses the graph's KPT estimation =="
+# Two fresh-eps selects on one tenant: the second eps pool must plan from
+# the first one's KPT* (kpt_hits >= 1) and still answer exactly what a
+# tim query run started at that eps answers.
+printf 'select 10 eps=0.6\nselect 10 eps=0.7\nstats pools\n' \
+    | "$TIM" query "$SNAP" -k 10 --eps 0.3 --seed 7 --admin --quiet \
+    > out/kick-tires/kpt_memo.txt
+for eps in 0.6 0.7; do
+    echo 'select 10' | "$TIM" query "$SNAP" -k 10 --eps "$eps" --seed 7 --quiet
+done > out/kick-tires/kpt_memo_expected.txt
+diff out/kick-tires/kpt_memo_expected.txt <(head -n 2 out/kick-tires/kpt_memo.txt)
+HITS=$(sed -n 's/.* kpt_hits=\([0-9]*\) .*/\1/p' out/kick-tires/kpt_memo.txt)
+if [ "${HITS:-0}" -lt 1 ]; then
+    echo "second eps pool did not reuse the KPT estimation:" >&2
+    cat out/kick-tires/kpt_memo.txt >&2
+    exit 1
+fi
+echo "fresh-eps selects match tim query at each eps, kpt_hits=$HITS: OK"
+
 echo "== experiment driver (quick): Figure 4 phase breakdown =="
 cargo run --release -p tim_bench --bin experiments -- fig4 --quick --scale 0.2 \
     | tee out/kick-tires/fig4_quick.txt
