@@ -21,7 +21,7 @@ fn graph_loading(c: &mut Criterion) {
         io::write_edge_list(&g, &mut text).unwrap();
         let labels: Vec<u64> = (0..g.n() as u64).collect();
         let mut snap = Vec::new();
-        snapshot::write_snapshot(&g, &labels, &mut snap).unwrap();
+        snapshot::write_snapshot_v2(&g, &labels, &mut snap).unwrap();
 
         group.bench_with_input(BenchmarkId::new("text", n), &text, |b, text| {
             b.iter(|| {

@@ -1,16 +1,16 @@
 //! Validates a bench report against its schema, dispatching on the
 //! report's `schema` string: `tim-bench-fanin/1` (`BENCH_6.json`, the
-//! `c10k_fanin` bin), `tim-bench-graph-load/1` (`BENCH_7.json`, the
-//! `graph_load` bin), `tim-bench-pool-load/1` (`BENCH_10.json`, the
-//! `pool_load` bin: v1 heap restore vs v2 mmap open of spilled RR-set
+//! `c10k_fanin` bin), the frozen v1-vs-v2 load comparisons
+//! `tim-bench-graph-load/1` (`BENCH_7.json`) and `tim-bench-pool-load/1`
+//! (`BENCH_10.json`: v1 heap restore vs v2 mmap open of spilled RR-set
 //! pools), or one of the frozen sharded-selection scaling points:
 //! `tim-bench-select/1` (`BENCH_8.json`), `tim-bench-select/2`
 //! (`BENCH_9.json`, the per-strategy shape with `evals_per_round` work
 //! counters and the lazy-vs-eager evaluation-ratio bar) and
 //! `tim-bench-select/3` (`BENCH_13.json`, one sharded block per thread
-//! count and the evaluations-vs-node-scan bar). The sharded solver and
-//! the bin that wrote those reports are gone; the reports stay as the
-//! measurements that retired them.
+//! count and the evaluations-vs-node-scan bar). The v1 writers, the
+//! sharded solver and the bins that wrote the frozen reports are gone;
+//! the reports stay as the measurements behind those decisions.
 //!
 //! ```text
 //! cargo run -p tim_bench --bin bench_schema_check -- <report.json>

@@ -32,11 +32,11 @@ usage:
   tim stats    <graph> [--undirected]
   tim generate <ba|gnm|ws|powerlaw|nethept|epinions|dblp|livejournal|twitter>
                --out <path> [--n 10000] [--param 4] [--scale 1.0] [--seed 0]
-  tim snapshot <graph> --out <path.timg> [--format v1|v2] [--weights keep|wc|lt|const:<p>|tri]
+  tim snapshot <graph> --out <path.timg> [--format v2] [--weights keep|wc|lt|const:<p>|tri]
                [--seed 0] [--undirected]
-               (--format v2 writes the page-aligned, mmap-able layout that
-                --mmap serving requires; the input may itself be a v1
-                snapshot, so this is also the v1 -> v2 migration)
+               (writes the page-aligned, mmap-able v2 layout that --mmap
+                serving requires; v1 is read-only, and the input may itself
+                be a v1 snapshot, so this is also the v1 -> v2 migration)
   tim query    [<graph>] [--graph <name>=<path>[::<k=v,...>]]... [--graphs <dir>]
                [--default-graph <name>] [--max-loaded 8] [--pool <path.timp>]
                [--pool-dir <dir>] [--persist-pools] [--mmap-pools] [--admin] [--mmap]
@@ -396,6 +396,14 @@ fn snapshot_cmd(args: &Args) -> Result<(), String> {
         .get("out")
         .ok_or_else(|| "snapshot: --out <path.timg> is required".to_string())?;
     let seed: u64 = args.get_parsed("seed", 0u64)?;
+    match args.get("format") {
+        None | Some("v2") => {}
+        Some("v1") => return Err(
+            "snapshot: --format v1 is read-only (v1 files still load; snapshots are written as v2)"
+                .into(),
+        ),
+        Some(other) => return Err(format!("unknown --format '{other}' (expected v2)")),
+    }
 
     let t0 = std::time::Instant::now();
     let mut loaded = io::load_graph(path, args.switch("undirected"))
@@ -411,17 +419,10 @@ fn snapshot_cmd(args: &Args) -> Result<(), String> {
         seed,
     )?;
 
-    let format = args.get("format").unwrap_or("v1");
-    match format {
-        "v1" => snapshot::save_snapshot(&loaded.graph, &loaded.labels, out)
-            .map_err(|e| format!("writing {out}: {e}"))?,
-        "v2" => snapshot::save_snapshot_v2(&loaded.graph, &loaded.labels, out)
-            .map_err(|e| format!("writing {out}: {e}"))?,
-        other => return Err(format!("unknown --format '{other}' (expected v1 or v2)")),
-    }
+    snapshot::save_snapshot_v2(&loaded.graph, &loaded.labels, out)
+        .map_err(|e| format!("writing {out}: {e}"))?;
 
-    // Reload to verify the round trip and measure the binary path
-    // (load_snapshot is version-gated, so this covers both formats).
+    // Reload to verify the round trip and measure the binary path.
     let t1 = std::time::Instant::now();
     let reloaded = snapshot::load_snapshot(out).map_err(|e| format!("verifying {out}: {e}"))?;
     let load_time = t1.elapsed();
@@ -433,7 +434,7 @@ fn snapshot_cmd(args: &Args) -> Result<(), String> {
 
     let bytes = std::fs::metadata(out).map(|m| m.len()).unwrap_or(0);
     println!(
-        "wrote {out} ({format}): {} nodes / {} arcs ({bytes} bytes)",
+        "wrote {out} (v2): {} nodes / {} arcs ({bytes} bytes)",
         reloaded.graph.n(),
         reloaded.graph.m()
     );
@@ -534,7 +535,7 @@ fn server_config(args: &Args, quiet: bool) -> Result<ServerConfig, String> {
     if config.mmap && config.weights != "keep" {
         return Err(format!(
             "--mmap requires --weights keep: probabilities are served verbatim \
-             from the v2 snapshot (bake them in with `tim snapshot --format v2 \
+             from the v2 snapshot (bake them in with `tim snapshot \
              --weights {}` instead)",
             config.weights
         ));
@@ -1406,7 +1407,7 @@ mod tests {
             .seed(5)
             .k_max(3);
         engine.warm().unwrap();
-        engine.to_pool().save(&pool).unwrap();
+        engine.to_pool().save_v2(&pool).unwrap();
 
         // Multi-graph catalog + absent flags: the pool's provenance must
         // NOT leak into the shared config — explicit flags are required.
@@ -1777,16 +1778,36 @@ mod tests {
         assert_eq!(snapshot::snapshot_version(&v2).unwrap(), Some(2));
         // The v2 file is transparently loadable by every heap consumer.
         dispatch(&argv(&format!("stats {}", v2.display()))).unwrap();
-        // Unknown formats are rejected.
-        assert!(dispatch(&argv(&format!(
-            "snapshot {} --out {} --format v9",
+        // The default writes the same bytes.
+        let default = dir.join("fmt_src_default.timg");
+        dispatch(&argv(&format!(
+            "snapshot {} --out {} --weights wc",
             text.display(),
-            v2.display()
+            default.display()
         )))
-        .unwrap_err()
-        .contains("--format"));
-        std::fs::remove_file(&text).ok();
-        std::fs::remove_file(&v2).ok();
+        .unwrap();
+        assert_eq!(
+            std::fs::read(&default).unwrap(),
+            std::fs::read(&v2).unwrap()
+        );
+        // v1 is read-only, and unknown formats are rejected; neither
+        // touches the existing output.
+        for (format, want) in [("v1", "read-only"), ("v9", "--format")] {
+            let err = dispatch(&argv(&format!(
+                "snapshot {} --out {} --format {format}",
+                text.display(),
+                v2.display()
+            )))
+            .unwrap_err();
+            assert!(err.contains(want), "{format}: {err}");
+        }
+        assert_eq!(
+            std::fs::read(&default).unwrap(),
+            std::fs::read(&v2).unwrap()
+        );
+        for f in [&text, &v2, &default] {
+            std::fs::remove_file(f).ok();
+        }
     }
 
     #[test]

@@ -992,7 +992,7 @@ mod tests {
         let want = e.select(5).seeds;
         let pool = e.to_pool();
         let mut bytes = Vec::new();
-        pool.write(&mut bytes).unwrap();
+        pool.write_v2(&mut bytes).unwrap();
         let loaded = RrPool::read(bytes.as_slice()).unwrap();
         let mut e2 =
             QueryEngine::from_pool(wc_graph(300, 1), IndependentCascade, "ic", loaded).unwrap();

@@ -27,7 +27,8 @@
 //! state: a per-tenant directory of provenance-keyed `.timp` files with
 //! atomic write-then-rename spills and quarantine of corrupt or foreign
 //! files, so every pool a process builds outlives the process. Spills
-//! default to the page-aligned `.timp` v2 layout, which persists the
+//! are written in the page-aligned `.timp` v2 layout (v1 files are only
+//! read), which persists the
 //! inverted index; [`PoolMmap`] attaches such a file zero-copy
 //! (`PROT_READ`) so restarting a service costs a header parse and a
 //! structural scan instead of a full heap decode — see
@@ -46,6 +47,10 @@ mod pool_mmap;
 mod shared;
 mod store;
 
+#[cfg(test)]
+#[path = "../tests/fixtures/v1.rs"]
+mod v1_fixture;
+
 pub use engine::{QueryEngine, QueryOutcome};
 pub use error::EngineError;
 pub use pool::{
@@ -54,6 +59,4 @@ pub use pool::{
 };
 pub use pool_mmap::PoolMmap;
 pub use shared::SharedEngine;
-pub use store::{
-    PoolId, PoolStore, ProbedPool, StoreStats, INDEX_FILE, POOL_EXTENSION, QUARANTINE_DIR,
-};
+pub use store::{PoolId, PoolStore, ProbedPool, StoreStats, POOL_EXTENSION, QUARANTINE_DIR};

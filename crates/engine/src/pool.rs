@@ -10,7 +10,10 @@
 //! loader refuses any mismatch rather than silently serving sets drawn
 //! from a different distribution.
 //!
-//! # File layout (version 1, little-endian)
+//! # File layout (version 1, little-endian, read-only)
+//!
+//! Version 1 is only read: [`RrPool::read`] and [`RrPool::load`] decode
+//! it onto the heap.
 //!
 //! | bytes | field |
 //! |---|---|
@@ -20,7 +23,7 @@
 //! | … | provenance: graph checksum, seed, select seed, θ, `k_max`, ε, ℓ, model tag |
 //! | … | collection: universe `n`, set count, member count, offsets, arena |
 //!
-//! All v1 counts and offsets are written as 8-byte values regardless of
+//! All v1 counts and offsets were written as 8-byte values regardless of
 //! the writing platform's pointer width. The historical portability
 //! quirk was on the **read** side: counts were narrowed `u64 as usize`,
 //! so a pool spilled by a 64-bit host could decode to silently truncated
@@ -65,7 +68,8 @@ use tim_graph::NodeId;
 /// The four magic bytes opening every pool file.
 pub const POOL_MAGIC: [u8; 4] = *b"TIMP";
 
-/// Pool format version 1: the eager heap-decode layout.
+/// Pool format version 1: the eager heap-decode layout (decoded, never
+/// written).
 pub const POOL_VERSION: u32 = 1;
 
 /// Pool format version 2: the page-aligned, mmap-able layout with a
@@ -78,9 +82,8 @@ pub const POOL_V2_HEADER_BYTES: u64 = 264;
 /// Alignment of every v2 section start (one page).
 pub const POOL_V2_ALIGN: u64 = 4096;
 
-/// Capacity of the fixed model-tag field in the v2 header. Longer tags
-/// cannot be spilled as v2; [`RrPool::write_v2`] rejects them so the
-/// caller can fall back to v1.
+/// Capacity of the fixed model-tag field in the v2 header. A pool with a
+/// longer tag cannot be written; [`RrPool::write_v2`] rejects it.
 pub const POOL_V2_MODEL_TAG_MAX: usize = 32;
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -175,40 +178,6 @@ impl<'a> Cursor<'a> {
 }
 
 impl RrPool {
-    /// Serializes the pool into `writer`.
-    pub fn write<W: Write>(&self, mut writer: W) -> Result<(), EngineError> {
-        let sets = &self.sets;
-        let mut payload = Vec::with_capacity(
-            64 + self.meta.model.len() + sets.raw_offsets().len() * 8 + sets.raw_data().len() * 4,
-        );
-        put_u64(&mut payload, self.meta.graph_checksum);
-        put_u64(&mut payload, self.meta.seed);
-        put_u64(&mut payload, self.meta.select_seed);
-        put_u64(&mut payload, self.meta.theta);
-        payload.extend_from_slice(&self.meta.k_max.to_le_bytes());
-        put_u64(&mut payload, self.meta.epsilon.to_bits());
-        put_u64(&mut payload, self.meta.ell.to_bits());
-        let model = self.meta.model.as_bytes();
-        payload.extend_from_slice(&(model.len() as u32).to_le_bytes());
-        payload.extend_from_slice(model);
-        put_u64(&mut payload, sets.universe() as u64);
-        put_u64(&mut payload, sets.len() as u64);
-        put_u64(&mut payload, sets.total_members() as u64);
-        for &o in sets.raw_offsets() {
-            put_u64(&mut payload, o as u64);
-        }
-        for &v in sets.raw_data() {
-            payload.extend_from_slice(&v.to_le_bytes());
-        }
-
-        writer.write_all(&POOL_MAGIC)?;
-        writer.write_all(&POOL_VERSION.to_le_bytes())?;
-        writer.write_all(&fnv1a(&payload).to_le_bytes())?;
-        writer.write_all(&payload)?;
-        writer.flush()?;
-        Ok(())
-    }
-
     /// Deserializes a pool from any reader, verifying magic, version,
     /// checksum, and the collection's structural invariants.
     pub fn read<R: Read>(mut reader: R) -> Result<Self, EngineError> {
@@ -361,14 +330,13 @@ impl RrPool {
     /// index arrays are computed here without mutating the pool.
     ///
     /// Errors with [`EngineError::Format`] when the model tag exceeds
-    /// [`POOL_V2_MODEL_TAG_MAX`] bytes — fall back to [`write`](Self::write)
-    /// (v1) for such pools.
+    /// [`POOL_V2_MODEL_TAG_MAX`] bytes.
     pub fn write_v2<W: Write>(&self, mut writer: W) -> Result<(), EngineError> {
         let model = self.meta.model.as_bytes();
         if model.len() > POOL_V2_MODEL_TAG_MAX {
             return Err(EngineError::Format(format!(
-                "model tag is {} bytes; the v2 header stores at most \
-                 {POOL_V2_MODEL_TAG_MAX} — spill as v1 instead",
+                "model tag is {} bytes; a pool file stores at most \
+                 {POOL_V2_MODEL_TAG_MAX}",
                 model.len()
             )));
         }
@@ -447,16 +415,11 @@ impl RrPool {
         Ok(())
     }
 
-    /// Saves the pool to `path` in the v2 layout.
+    /// Saves the pool to `path` in the v2 layout, through a new inode
+    /// ([`replace_file`](tim_graph::io::replace_file)): a process that
+    /// maps the old file keeps serving it.
     pub fn save_v2<P: AsRef<Path>>(&self, path: P) -> Result<(), EngineError> {
-        let file = std::fs::File::create(path)?;
-        self.write_v2(std::io::BufWriter::new(file))
-    }
-
-    /// Saves the pool to `path`.
-    pub fn save<P: AsRef<Path>>(&self, path: P) -> Result<(), EngineError> {
-        let file = std::fs::File::create(path)?;
-        self.write(std::io::BufWriter::new(file))
+        tim_graph::io::replace_file(path.as_ref(), |w| self.write_v2(w))
     }
 
     /// Loads a pool from `path`.
@@ -662,27 +625,56 @@ mod tests {
         }
     }
 
-    fn encode(pool: &RrPool) -> Vec<u8> {
-        let mut buf = Vec::new();
-        pool.write(&mut buf).unwrap();
-        buf
+    /// The pool the frozen v1 fixture holds, built from its source.
+    fn fixture_pool() -> RrPool {
+        use crate::v1_fixture as f;
+        let mut sets = SetCollection::new(f::UNIVERSE);
+        for set in f::SETS {
+            sets.push(set);
+        }
+        RrPool {
+            meta: PoolMeta {
+                graph_checksum: f::GRAPH_CHECKSUM,
+                model: f::MODEL.into(),
+                epsilon: f::EPSILON,
+                ell: f::ELL,
+                seed: f::SEED,
+                k_max: f::K_MAX,
+                theta: f::SETS.len() as u64,
+                select_seed: f::SELECT_SEED,
+            },
+            sets,
+        }
+    }
+
+    fn v1_bytes() -> Vec<u8> {
+        crate::v1_fixture::TIMP_V1.to_vec()
     }
 
     #[test]
     fn round_trip_preserves_meta_and_sets() {
-        let pool = sample_pool();
-        let loaded = RrPool::read(encode(&pool).as_slice()).unwrap();
-        assert_eq!(loaded.meta, pool.meta);
-        assert_eq!(loaded.sets.len(), pool.sets.len());
-        for i in 0..pool.sets.len() {
-            assert_eq!(loaded.sets.set(i), pool.sets.set(i));
+        // The v1 fixture decodes field for field to the pool it was
+        // written from, and re-saving it as v2 keeps every field.
+        let pool = fixture_pool();
+        assert_eq!(
+            pool.meta.select_seed,
+            tim_core::select_stream_seed(pool.meta.seed)
+        );
+        let v1 = RrPool::read(v1_bytes().as_slice()).unwrap();
+        let v2 = RrPool::read(encode_v2(&v1).as_slice()).unwrap();
+        for loaded in [v1, v2] {
+            assert_eq!(loaded.meta, pool.meta);
+            assert_eq!(loaded.sets.universe(), pool.sets.universe());
+            assert_eq!(loaded.sets.len(), pool.sets.len());
+            for i in 0..pool.sets.len() {
+                assert_eq!(loaded.sets.set(i), pool.sets.set(i));
+            }
         }
     }
 
     #[test]
     fn corruption_is_detected() {
-        let pool = sample_pool();
-        let good = encode(&pool);
+        let good = v1_bytes();
         for (mutate, what) in [(0usize, "magic"), (4, "version"), (30, "payload")] {
             let mut bytes = good.clone();
             bytes[mutate] ^= 0xFF;
@@ -703,8 +695,7 @@ mod tests {
     fn huge_claimed_set_count_fails_as_truncation_not_allocation() {
         // The header is untrusted: a claimed theta of 2^60 must be caught
         // by payload bounds checks, not by attempting the allocation.
-        let pool = sample_pool();
-        let mut bytes = encode(&pool);
+        let mut bytes = v1_bytes();
         let huge = (1u64 << 60).to_le_bytes();
         // Payload layout: checksum'd region starts at byte 16; theta is at
         // payload offset 24, the set count at offset 66 (after the 2-byte
@@ -721,10 +712,12 @@ mod tests {
 
     #[test]
     fn theta_set_count_mismatch_is_rejected() {
-        let mut pool = sample_pool();
-        pool.meta.theta = 99;
+        let mut bytes = v1_bytes();
+        bytes[16 + 24..16 + 32].copy_from_slice(&99u64.to_le_bytes()); // theta
+        let checksum = fnv1a(&bytes[16..]);
+        bytes[8..16].copy_from_slice(&checksum.to_le_bytes());
         assert!(matches!(
-            RrPool::read(encode(&pool).as_slice()),
+            RrPool::read(bytes.as_slice()),
             Err(EngineError::Format(m)) if m.contains("theta")
         ));
     }
@@ -735,7 +728,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("timp_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("pool.timp");
-        pool.save(&path).unwrap();
+        pool.save_v2(&path).unwrap();
         let loaded = RrPool::load(&path).unwrap();
         assert_eq!(loaded.meta, pool.meta);
         std::fs::remove_file(&path).ok();
@@ -791,15 +784,9 @@ mod tests {
         pool.meta.model = "m".repeat(POOL_V2_MODEL_TAG_MAX + 1);
         let mut buf = Vec::new();
         match pool.write_v2(&mut buf) {
-            Err(EngineError::Format(m)) => assert!(m.contains("spill as v1"), "{m}"),
+            Err(EngineError::Format(m)) => assert!(m.contains("at most 32"), "{m}"),
             other => panic!("expected a format error, got {other:?}"),
         }
-        // v1 still accepts the same pool.
-        pool.write(&mut buf).unwrap();
-        assert_eq!(
-            RrPool::read(buf.as_slice()).unwrap().meta.model,
-            pool.meta.model
-        );
     }
 
     #[test]
@@ -809,7 +796,7 @@ mod tests {
         let pool = sample_pool();
         let v1 = dir.join("v1.timp");
         let v2 = dir.join("v2.timp");
-        pool.save(&v1).unwrap();
+        std::fs::write(&v1, v1_bytes()).unwrap();
         pool.save_v2(&v2).unwrap();
         assert_eq!(pool_version(&v1).unwrap(), POOL_VERSION);
         assert_eq!(pool_version(&v2).unwrap(), POOL_VERSION_V2);
@@ -836,8 +823,7 @@ mod tests {
         // clean format error, never a silent `as usize` truncation. On
         // 64-bit hosts the same doctored count instead trips the payload
         // bounds check — either way, a clean `Format` error.
-        let pool = sample_pool();
-        let mut bytes = encode(&pool);
+        let mut bytes = v1_bytes();
         let huge = ((1u64 << 33) + 3).to_le_bytes();
         bytes[16 + 74..16 + 82].copy_from_slice(&huge); // member count field
         let checksum = fnv1a(&bytes[16..]);

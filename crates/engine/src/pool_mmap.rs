@@ -147,13 +147,46 @@ mod tests {
 
     #[test]
     fn v1_files_are_rejected_with_a_clean_error() {
-        let pool = sample_pool();
         let path = temp_file("v1");
-        pool.save(&path).unwrap();
+        std::fs::write(&path, crate::v1_fixture::TIMP_V1).unwrap();
         match PoolMmap::open(&path) {
             Err(EngineError::Format(m)) => assert!(m.contains("not a v2 pool"), "{m}"),
             other => panic!("expected format error, got {other:?}"),
         }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn resave_over_a_mapped_path_leaves_the_mapping_intact() {
+        use std::os::unix::fs::MetadataExt;
+        let old = sample_pool();
+        let mut new = sample_pool();
+        new.sets.push(&[7, 8]);
+        new.meta.theta = 5;
+        new.meta.seed = 8;
+        let path = temp_file("resave");
+        old.save_v2(&path).unwrap();
+        let mapped = PoolMmap::open(&path).unwrap();
+        let inode = std::fs::metadata(&path).unwrap().ino();
+
+        new.save_v2(&path).unwrap();
+        // Checked before the old mapping is touched: an in-place rewrite
+        // keeps the inode and would fault the reads below.
+        assert_ne!(
+            std::fs::metadata(&path).unwrap().ino(),
+            inode,
+            "a re-save must publish a new inode"
+        );
+        mapped.verify().unwrap();
+        assert_eq!(mapped.meta(), &old.meta);
+        for i in 0..old.sets.len() {
+            assert_eq!(mapped.sets().set(i), old.sets.set(i));
+        }
+        let fresh = PoolMmap::open(&path).unwrap();
+        assert_eq!(fresh.meta(), &new.meta);
+        assert_eq!(fresh.sets().set(4), new.sets.set(4));
+        fresh.verify().unwrap();
         std::fs::remove_file(&path).ok();
     }
 

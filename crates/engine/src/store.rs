@@ -16,39 +16,34 @@
 //!
 //! - `<provenance>.timp` — one pool per provenance
 //!   ([`PoolId::file_stem`] encodes the model tag, seed, ε/ℓ bit
-//!   patterns, and graph checksum, so lookup is a filename probe);
-//! - `index.tsv` — an advisory, human-readable index of the stored
-//!   provenances, rewritten atomically after every spill. The loader
-//!   never trusts it: filenames and the pools' own checksummed headers
-//!   are authoritative;
+//!   patterns, and graph checksum, so lookup is a filename probe and
+//!   [`PoolStore::entries`] lists the store from the directory itself);
 //! - `quarantine/` — where corrupt or foreign files are moved (see
 //!   below).
 //!
 //! # Crash safety and quarantine
 //!
-//! Spills are write-then-rename: the pool is fully written to a
-//! temporary sibling and atomically renamed into place, so a reader (or
-//! a crash) can never observe a half-written `.timp`. Loads validate the
-//! file's checksum and compare its provenance header against the
-//! filename's claim; a file that fails either check — truncated by an
-//! unlucky copy, hand-edited, or dropped in from a different graph — is
-//! moved to `quarantine/` with a stderr warning and reported as a miss.
-//! A bad file is therefore **never served and never fatal**: the caller
-//! rebuilds, and the evidence is preserved for inspection.
+//! Spills are write-then-rename ([`tim_graph::io::replace_file`]): the
+//! pool is fully written to a temporary sibling, fsynced, and atomically
+//! renamed into place, so a reader (or a crash) can never observe a
+//! half-written `.timp`, and a pool mapped from the old file keeps its
+//! bytes. Loads validate the file's checksum and compare its provenance
+//! header against the filename's claim; a file that fails either check —
+//! truncated by an unlucky copy, hand-edited, or dropped in from a
+//! different graph — is moved to `quarantine/` with a stderr warning and
+//! reported as a miss. A bad file is therefore **never served and never
+//! fatal**: the caller rebuilds, and the evidence is preserved for
+//! inspection.
 
 use crate::error::EngineError;
-use crate::pool::{pool_version, PoolMeta, RrPool, POOL_V2_MODEL_TAG_MAX, POOL_VERSION_V2};
+use crate::pool::{pool_version, PoolMeta, RrPool, POOL_VERSION_V2};
 use crate::pool_mmap::PoolMmap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use tim_graph::snapshot::Fnv1a;
 
 /// File extension of stored pools.
 pub const POOL_EXTENSION: &str = "timp";
-
-/// Name of the advisory index file a store keeps next to its pools.
-pub const INDEX_FILE: &str = "index.tsv";
 
 /// Name of the subdirectory corrupt/foreign files are moved into.
 pub const QUARANTINE_DIR: &str = "quarantine";
@@ -213,13 +208,6 @@ pub struct PoolStore {
     mmap_opens: AtomicU64,
     heap_loads: AtomicU64,
     verifies: AtomicU64,
-    /// Uniquifies temp-file names across threads: the pid alone is not
-    /// enough, because two sessions of one server can spill the same
-    /// provenance concurrently, and a shared temp path would let one
-    /// writer truncate the other's half-written file.
-    tmp_seq: AtomicU64,
-    /// Serializes index rewrites (spills themselves are rename-atomic).
-    index_lock: Mutex<()>,
 }
 
 impl PoolStore {
@@ -238,8 +226,6 @@ impl PoolStore {
             mmap_opens: AtomicU64::new(0),
             heap_loads: AtomicU64::new(0),
             verifies: AtomicU64::new(0),
-            tmp_seq: AtomicU64::new(0),
-            index_lock: Mutex::new(()),
         })
     }
 
@@ -354,49 +340,20 @@ impl PoolStore {
         pool.verify()
     }
 
-    /// Spills `pool` into the store under its own provenance, atomically
-    /// (write to a temporary sibling, then rename), and refreshes the
-    /// advisory index. Returns the final path. A concurrent spill of the
-    /// same provenance is safe: both writers produce byte-identical
-    /// files for the same θ, and rename makes the last one win whole.
+    /// Spills `pool` into the store under its own provenance, in the
+    /// mmap-able `.timp` v2 layout, atomically (write to a temporary
+    /// sibling, then rename). Returns the final path. A concurrent spill
+    /// of the same provenance is safe: both writers produce
+    /// byte-identical files for the same θ, and rename makes the last one
+    /// win whole.
     ///
-    /// Pools are written in the mmap-able `.timp` v2 layout unless the
-    /// model tag exceeds the v2 header's fixed field, in which case the
-    /// spill transparently falls back to v1 (losing only the zero-copy
-    /// restore path for that pool).
+    /// A pool whose model tag exceeds
+    /// [`POOL_V2_MODEL_TAG_MAX`](crate::POOL_V2_MODEL_TAG_MAX) bytes
+    /// cannot be written: the spill fails and leaves no file behind.
     pub fn spill(&self, pool: &RrPool) -> Result<PathBuf, EngineError> {
-        let id = PoolId::from_meta(&pool.meta);
-        let path = self.path_for(&id);
-        let tmp = self.root.join(format!(
-            ".tmp-{}-{}-{}.{}",
-            id.file_stem(),
-            std::process::id(),
-            self.tmp_seq.fetch_add(1, Ordering::Relaxed),
-            POOL_EXTENSION
-        ));
-        let result = (|| -> Result<(), EngineError> {
-            let file = std::fs::File::create(&tmp)?;
-            let mut writer = std::io::BufWriter::new(file);
-            if pool.meta.model.len() <= POOL_V2_MODEL_TAG_MAX {
-                pool.write_v2(&mut writer)?;
-            } else {
-                pool.write(&mut writer)?;
-            }
-            // BufWriter::into_inner flushes; sync so the rename never
-            // publishes a name pointing at unwritten data after a crash.
-            let file = writer
-                .into_inner()
-                .map_err(|e| EngineError::Io(e.into_error()))?;
-            file.sync_all()?;
-            std::fs::rename(&tmp, &path)?;
-            Ok(())
-        })();
-        if result.is_err() {
-            std::fs::remove_file(&tmp).ok();
-        }
-        result?;
+        let path = self.path_for(&PoolId::from_meta(&pool.meta));
+        pool.save_v2(&path)?;
         self.spills.fetch_add(1, Ordering::Relaxed);
-        self.write_index();
         Ok(path)
     }
 
@@ -478,35 +435,6 @@ impl PoolStore {
                 String::new()
             }
         );
-        self.write_index();
-    }
-
-    /// Rewrites the advisory `index.tsv` (atomically) from the current
-    /// directory contents. Best-effort: the index is informational, so
-    /// write failures are warned about, never propagated.
-    fn write_index(&self) {
-        let _guard = self.index_lock.lock().expect("index lock poisoned");
-        let mut out = String::from("# stem\tfile\n");
-        for (stem, path) in self.entries() {
-            out.push_str(&stem);
-            out.push('\t');
-            out.push_str(path.file_name().and_then(|n| n.to_str()).unwrap_or(""));
-            out.push('\n');
-        }
-        let tmp = self.root.join(format!(
-            ".tmp-index-{}-{}",
-            std::process::id(),
-            self.tmp_seq.fetch_add(1, Ordering::Relaxed)
-        ));
-        let written = std::fs::write(&tmp, out)
-            .and_then(|()| std::fs::rename(&tmp, self.root.join(INDEX_FILE)));
-        if let Err(e) = written {
-            std::fs::remove_file(&tmp).ok();
-            eprintln!(
-                "pool store: could not refresh {}: {e}",
-                self.root.join(INDEX_FILE).display()
-            );
-        }
     }
 }
 
@@ -548,7 +476,11 @@ mod tests {
         let p = pool(7, 5);
         let path = store.spill(&p).unwrap();
         assert!(path.exists());
-        assert!(dir.join(INDEX_FILE).exists(), "index refreshed");
+        assert_eq!(
+            std::fs::read_dir(&dir).unwrap().count(),
+            1,
+            "the store directory holds just the pool"
+        );
         let id = PoolId::from_meta(&p.meta);
         let got = store.probe(&id).unwrap().expect("stored pool found");
         assert_eq!(got.meta, p.meta);
@@ -628,7 +560,7 @@ mod tests {
         let id = PoolId::from_meta(&mine.meta);
         // Write the foreign pool under the name of `mine`.
         let mut bytes = Vec::new();
-        foreign.write(&mut bytes).unwrap();
+        foreign.write_v2(&mut bytes).unwrap();
         std::fs::write(store.path_for(&id), bytes).unwrap();
 
         assert!(
@@ -688,15 +620,16 @@ mod tests {
 
     #[test]
     fn probe_backed_falls_back_to_heap_for_v1_files() {
+        use crate::v1_fixture as f;
         let (dir, store) = tmp_store("mmap_v1");
-        let p = pool(12, 4);
-        let id = PoolId::from_meta(&p.meta);
-        p.save(store.path_for(&id)).unwrap(); // hand-placed v1 file
+        let id = PoolId::new(f::GRAPH_CHECKSUM, f::MODEL, f::SEED, f::EPSILON, f::ELL);
+        std::fs::write(store.path_for(&id), f::TIMP_V1).unwrap(); // hand-placed v1 file
         let got = store.probe_backed(&id, true).unwrap().expect("restored");
-        assert!(
-            matches!(got, ProbedPool::Heap(_)),
-            "a v1 file cannot be mapped; it loads eagerly"
-        );
+        let ProbedPool::Heap(restored) = got else {
+            panic!("a v1 file cannot be mapped; it loads eagerly");
+        };
+        assert_eq!(restored.meta.theta, f::SETS.len() as u64);
+        assert_eq!(restored.sets.set(2), f::SETS[2]);
         assert_eq!(store.stats().mmap_opens, 0);
         assert_eq!(store.stats().heap_loads, 1);
         std::fs::remove_dir_all(&dir).ok();
@@ -719,15 +652,20 @@ mod tests {
     }
 
     #[test]
-    fn oversized_model_tags_spill_as_v1() {
-        let (dir, store) = tmp_store("v1_fallback");
+    fn oversized_model_tags_are_refused_without_a_file() {
+        let (dir, store) = tmp_store("long_tag");
         let mut p = pool(14, 3);
         p.meta.model = "m".repeat(crate::pool::POOL_V2_MODEL_TAG_MAX + 1);
-        let path = store.spill(&p).unwrap();
-        assert_eq!(pool_version(&path).unwrap(), crate::pool::POOL_VERSION);
-        let id = PoolId::from_meta(&p.meta);
-        let got = store.probe_backed(&id, true).unwrap().expect("restored");
-        assert!(matches!(got, ProbedPool::Heap(_)));
+        match store.spill(&p) {
+            Err(EngineError::Format(m)) => assert!(m.contains("at most 32"), "{m}"),
+            other => panic!("expected a format error, got {other:?}"),
+        }
+        assert_eq!(
+            std::fs::read_dir(&dir).unwrap().count(),
+            0,
+            "no .timp and no .tmp-* file is left behind"
+        );
+        assert_eq!(store.stats().spills, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -11,6 +11,11 @@
 
 #![cfg(unix)]
 
+mod fixtures {
+    pub mod v1;
+}
+
+use fixtures::v1 as v1_fixture;
 use tim_coverage::SetCollection;
 use tim_engine::{
     pool_version, PoolId, PoolMeta, PoolMmap, PoolStore, ProbedPool, RrPool, POOL_V2_ALIGN,
@@ -22,6 +27,27 @@ const ALIGN: usize = POOL_V2_ALIGN as usize;
 /// Byte offset of the first section-table entry in the v2 header.
 const TABLE_AT: usize = 136;
 const SECTIONS: usize = 4;
+
+/// The pool the frozen v1 fixture holds, built from its source.
+fn fixture_pool() -> RrPool {
+    let mut sets = SetCollection::new(v1_fixture::UNIVERSE);
+    for set in v1_fixture::SETS {
+        sets.push(set);
+    }
+    RrPool {
+        meta: PoolMeta {
+            graph_checksum: v1_fixture::GRAPH_CHECKSUM,
+            model: v1_fixture::MODEL.into(),
+            epsilon: v1_fixture::EPSILON,
+            ell: v1_fixture::ELL,
+            seed: v1_fixture::SEED,
+            k_max: v1_fixture::K_MAX,
+            theta: v1_fixture::SETS.len() as u64,
+            select_seed: v1_fixture::SELECT_SEED,
+        },
+        sets,
+    }
+}
 
 /// A deterministic synthetic pool, big enough that every section spans
 /// real payload bytes (the inverted index included).
@@ -327,12 +353,13 @@ fn hostile_section_tables_are_rejected() {
 fn version_gates_route_v1_and_v2_transparently() {
     // Both directions of the sniffing contract: v1 pools keep loading
     // unchanged on a v2-aware build, and the mapped reader refuses v1
-    // bytes instead of misreading them.
+    // bytes instead of misreading them. The v1 file is the frozen
+    // fixture; its v2 twin is written from the same pool.
     let dir = tmpdir("gate");
-    let pool = sample();
+    let pool = fixture_pool();
     let v1 = dir.join("p.v1.timp");
     let v2 = dir.join("p.v2.timp");
-    pool.save(&v1).unwrap();
+    std::fs::write(&v1, v1_fixture::TIMP_V1).unwrap();
     pool.save_v2(&v2).unwrap();
     assert_eq!(pool_version(&v1).unwrap(), 1);
     assert_eq!(pool_version(&v2).unwrap(), 2);
@@ -341,7 +368,10 @@ fn version_gates_route_v1_and_v2_transparently() {
     let from_v2 = RrPool::load(&v2).unwrap();
     assert_eq!(from_v1.meta, pool.meta);
     assert_eq!(from_v2.meta, pool.meta);
-    assert_eq!(from_v1.sets.len(), from_v2.sets.len());
+    for i in 0..pool.sets.len() {
+        assert_eq!(from_v1.sets.set(i), pool.sets.set(i));
+        assert_eq!(from_v2.sets.set(i), pool.sets.set(i));
+    }
 
     let err = PoolMmap::open(&v1).unwrap_err().to_string();
     assert!(err.contains("not a v2 pool"), "got: {err}");

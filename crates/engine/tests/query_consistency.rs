@@ -53,7 +53,7 @@ fn warm_pool_matches_fresh_runs_at_k_1_half_k_and_k() {
 fn answers_survive_pool_persistence() {
     let engine = warm_engine();
     let mut bytes = Vec::new();
-    engine.to_pool().write(&mut bytes).unwrap();
+    engine.to_pool().write_v2(&mut bytes).unwrap();
 
     let pool = RrPool::read(bytes.as_slice()).unwrap();
     let mut revived = QueryEngine::from_pool(ic_graph(), IndependentCascade, "ic", pool).unwrap();

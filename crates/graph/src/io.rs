@@ -8,8 +8,10 @@
 
 use crate::{Graph, GraphBuilder, GraphError};
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::fs::File;
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Result of loading an edge list: the graph plus the label mapping.
 #[derive(Debug)]
@@ -158,6 +160,51 @@ pub fn write_edge_list<W: Write>(graph: &Graph, mut writer: W) -> Result<(), Gra
 pub fn save_edge_list<P: AsRef<Path>>(graph: &Graph, path: P) -> Result<(), GraphError> {
     let file = std::fs::File::create(path)?;
     write_edge_list(graph, file)
+}
+
+/// Publishes a file at `path` through a new inode: `write` fills a
+/// temporary sibling (`.tmp-<pid>-<seq>-<name>`), which is fsynced and
+/// then renamed over `path`.
+///
+/// Readers never see a half-written file, and a process that has the old
+/// file open or mapped keeps reading the old bytes: truncating and
+/// rewriting a mapped file in place would make its pages vanish under the
+/// mapping (`SIGBUS`). On any error the temporary is removed and `path`
+/// is left as it was.
+pub fn replace_file<E: From<std::io::Error>>(
+    path: &Path,
+    write: impl FnOnce(&mut BufWriter<File>) -> Result<(), E>,
+) -> Result<(), E> {
+    // The pid alone is not unique: two threads of one process may publish
+    // the same path concurrently, and a shared temporary would let one
+    // truncate the other's half-written file.
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let name = path.file_name().ok_or_else(|| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("{} does not name a file", path.display()),
+        )
+    })?;
+    let tmp = path.with_file_name(format!(
+        ".tmp-{}-{}-{}",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed),
+        name.to_string_lossy()
+    ));
+    let result = (|| {
+        let mut writer = BufWriter::new(File::create(&tmp)?);
+        write(&mut writer)?;
+        let file = writer.into_inner().map_err(|e| e.into_error())?;
+        // Sync before the rename, so a crash never publishes a name that
+        // points at unwritten data.
+        file.sync_all()?;
+        std::fs::rename(&tmp, path)?;
+        Ok(())
+    })();
+    if result.is_err() {
+        std::fs::remove_file(&tmp).ok();
+    }
+    result
 }
 
 #[cfg(test)]

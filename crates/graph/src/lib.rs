@@ -41,6 +41,10 @@ pub mod snapshot;
 mod store;
 pub mod weights;
 
+#[cfg(test)]
+#[path = "../tests/fixtures/v1.rs"]
+mod v1_fixture;
+
 pub use builder::GraphBuilder;
 pub use csr::{CsrAccess, DegreeStats, Graph};
 pub use error::GraphError;

@@ -470,7 +470,7 @@ impl CsrAccess for MmapCsr {
 #[cfg(all(test, unix))]
 mod tests {
     use super::*;
-    use crate::snapshot::{graph_checksum, save_snapshot, save_snapshot_v2};
+    use crate::snapshot::{graph_checksum, save_snapshot_v2};
     use crate::{gen, weights, Graph};
 
     fn sample() -> (Graph, Vec<u64>) {
@@ -510,9 +510,8 @@ mod tests {
 
     #[test]
     fn v1_snapshot_is_rejected_cleanly() {
-        let (g, labels) = sample();
         let path = tmp("v1.timg");
-        save_snapshot(&g, &labels, &path).unwrap();
+        std::fs::write(&path, crate::v1_fixture::TIMG_V1).unwrap();
         assert!(matches!(
             MmapCsr::open(&path),
             Err(GraphError::Snapshot { message }) if message.contains("not a v2")
@@ -543,6 +542,36 @@ mod tests {
         let loaded = view.to_loaded().unwrap();
         assert_eq!(graph_checksum(&loaded.graph), graph_checksum(&g));
         assert_eq!(loaded.labels, labels);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn resave_over_a_mapped_path_leaves_the_mapping_intact() {
+        use std::os::unix::fs::MetadataExt;
+        let (old, old_labels) = sample();
+        let mut new = gen::barabasi_albert(60, 2, 0.1, 12);
+        weights::assign_weighted_cascade(&mut new);
+        let new_labels: Vec<u64> = (0..new.n() as u64).collect();
+        let path = tmp("resave.timg");
+        save_snapshot_v2(&old, &old_labels, &path).unwrap();
+        let view = MmapCsr::open(&path).unwrap();
+        let inode = std::fs::metadata(&path).unwrap().ino();
+
+        save_snapshot_v2(&new, &new_labels, &path).unwrap();
+        // Checked before the old mapping is touched: an in-place rewrite
+        // keeps the inode and would fault the reads below.
+        assert_ne!(
+            std::fs::metadata(&path).unwrap().ino(),
+            inode,
+            "a re-save must publish a new inode"
+        );
+        assert_eq!(view.checksum(), graph_checksum(&old));
+        view.verify().unwrap();
+        assert_eq!(view.labels(), old_labels.as_slice());
+        let fresh = MmapCsr::open(&path).unwrap();
+        assert_eq!(fresh.checksum(), graph_checksum(&new));
+        assert_eq!(fresh.labels(), new_labels.as_slice());
+        fresh.verify().unwrap();
         std::fs::remove_file(&path).ok();
     }
 

@@ -8,7 +8,11 @@
 //! pass, and the loaded [`Graph`] is bit-identical to the one that was
 //! saved.
 //!
-//! # File layout (version 1, little-endian)
+//! # File layout (version 1, little-endian, read-only)
+//!
+//! Version 1 is only read: [`read_snapshot`] and [`load_snapshot`]
+//! decode it, and `tim snapshot old.timg --out new.timg` migrates a v1
+//! file to v2.
 //!
 //! | bytes | field |
 //! |---|---|
@@ -56,7 +60,7 @@
 //! let g = Graph::from_edges(3, [(0, 1, 0.5), (1, 2, 0.25)]);
 //! let labels = vec![10, 20, 30];
 //! let mut buf = Vec::new();
-//! snapshot::write_snapshot(&g, &labels, &mut buf).unwrap();
+//! snapshot::write_snapshot_v2(&g, &labels, &mut buf).unwrap();
 //!
 //! let loaded = snapshot::read_snapshot(buf.as_slice()).unwrap();
 //! assert_eq!(loaded.graph.m(), 2);
@@ -72,7 +76,7 @@ use std::path::Path;
 /// The four magic bytes opening every snapshot file.
 pub const MAGIC: [u8; 4] = *b"TIMG";
 
-/// The heap-oriented snapshot format version.
+/// The heap-oriented snapshot format version (decoded, never written).
 pub const VERSION: u32 = 1;
 
 /// The page-aligned, mmap-able snapshot format version.
@@ -180,48 +184,6 @@ fn put_u32s(buf: &mut Vec<u8>, values: impl IntoIterator<Item = u32>) {
     for v in values {
         buf.extend_from_slice(&v.to_le_bytes());
     }
-}
-
-/// Serializes `graph` and its label map into `writer`.
-///
-/// `labels[i]` must be the original label of dense node `i`; pass
-/// `(0..n as u64)` (see [`LoadedGraph::from_dense`]) for graphs that never
-/// had external labels. Errors if `labels.len() != graph.n()`.
-pub fn write_snapshot<W: Write>(
-    graph: &Graph,
-    labels: &[u64],
-    mut writer: W,
-) -> Result<(), GraphError> {
-    if labels.len() != graph.n() {
-        return Err(GraphError::Snapshot {
-            message: format!(
-                "label map has {} entries for a {}-node graph",
-                labels.len(),
-                graph.n()
-            ),
-        });
-    }
-    let n = graph.n();
-    let m = graph.m();
-    let mut payload = Vec::with_capacity(16 + (n + 1) * 16 + m * 16 + n * 8);
-    put_u64s(&mut payload, [n as u64, m as u64]);
-    put_u64s(&mut payload, graph.out_offsets.iter().map(|&o| o as u64));
-    put_u32s(&mut payload, graph.out_targets.iter().copied());
-    put_u32s(&mut payload, graph.out_probs.iter().map(|p| p.to_bits()));
-    put_u64s(&mut payload, graph.in_offsets.iter().map(|&o| o as u64));
-    put_u32s(&mut payload, graph.in_sources.iter().copied());
-    put_u32s(&mut payload, graph.in_probs.iter().map(|p| p.to_bits()));
-    put_u64s(&mut payload, labels.iter().copied());
-
-    let mut checksum = Fnv1a::new();
-    checksum.update(&payload);
-
-    writer.write_all(&MAGIC)?;
-    writer.write_all(&VERSION.to_le_bytes())?;
-    writer.write_all(&checksum.finish().to_le_bytes())?;
-    writer.write_all(&payload)?;
-    writer.flush()?;
-    Ok(())
 }
 
 /// Byte-slice cursor used by the decoder; every read is bounds-checked so
@@ -368,16 +330,6 @@ fn decode_snapshot(bytes: &[u8]) -> Result<LoadedGraph, GraphError> {
     Ok(LoadedGraph { graph, labels })
 }
 
-/// Saves `graph` and its label map to `path`.
-pub fn save_snapshot<P: AsRef<Path>>(
-    graph: &Graph,
-    labels: &[u64],
-    path: P,
-) -> Result<(), GraphError> {
-    let file = std::fs::File::create(path)?;
-    write_snapshot(graph, labels, std::io::BufWriter::new(file))
-}
-
 /// Loads a snapshot from `path`.
 pub fn load_snapshot<P: AsRef<Path>>(path: P) -> Result<LoadedGraph, GraphError> {
     decode_snapshot(&std::fs::read(path)?)
@@ -434,15 +386,20 @@ pub(crate) fn v2_expected_len(i: usize, n: u64, m: u64) -> Option<u64> {
 /// reader may index any section without further bounds tests.
 pub(crate) fn parse_v2_layout(bytes: &[u8], file_len: u64) -> Result<V2Layout, GraphError> {
     let header_len = V2_HEADER_BYTES as usize;
-    if bytes.len() < header_len {
+    if bytes.len() < 8 {
         return Err(snap_err("truncated v2 header"));
     }
     if bytes[0..4] != MAGIC {
         return Err(snap_err("not a TIMG snapshot (bad magic)"));
     }
+    // Version before length: a v1 file shorter than the v2 header must
+    // report its version, not claim v2 truncation.
     let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
     if version != VERSION_V2 {
         return Err(snap_err(format!("not a v2 snapshot (version {version})")));
+    }
+    if bytes.len() < header_len {
+        return Err(snap_err("truncated v2 header"));
     }
     let stored = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
     let mut h = Fnv1a::new();
@@ -576,9 +533,11 @@ pub(crate) fn validate_v2_csr(
 
 /// Serializes `graph` and its labels in the page-aligned v2 layout.
 ///
-/// Same contract as [`write_snapshot`], different bytes: the result can be
-/// decoded eagerly ([`read_snapshot`] / [`load_snapshot`] version-gate on
-/// the header) or attached zero-copy via [`MmapCsr`](crate::MmapCsr).
+/// `labels[i]` must be the original label of dense node `i`; pass
+/// `(0..n as u64)` (see [`LoadedGraph::from_dense`]) for graphs that never
+/// had external labels. Errors if `labels.len() != graph.n()`. The result
+/// can be decoded eagerly ([`read_snapshot`] / [`load_snapshot`]) or
+/// attached zero-copy via [`MmapCsr`](crate::MmapCsr).
 pub fn write_snapshot_v2<W: Write>(
     graph: &Graph,
     labels: &[u64],
@@ -665,14 +624,15 @@ pub fn write_snapshot_v2<W: Write>(
     Ok(())
 }
 
-/// Saves `graph` and its label map to `path` in the v2 layout.
+/// Saves `graph` and its label map to `path` in the v2 layout, through
+/// a new inode ([`replace_file`](crate::io::replace_file)): a server that
+/// maps the old file keeps serving it.
 pub fn save_snapshot_v2<P: AsRef<Path>>(
     graph: &Graph,
     labels: &[u64],
     path: P,
 ) -> Result<(), GraphError> {
-    let file = std::fs::File::create(path)?;
-    write_snapshot_v2(graph, labels, std::io::BufWriter::new(file))
+    crate::io::replace_file(path.as_ref(), |w| write_snapshot_v2(graph, labels, w))
 }
 
 /// Eager heap decode of a v2 snapshot: verifies the header, **every**
@@ -792,26 +752,39 @@ mod tests {
         (g, labels)
     }
 
-    fn encode(g: &Graph, labels: &[u64]) -> Vec<u8> {
-        let mut buf = Vec::new();
-        write_snapshot(g, labels, &mut buf).unwrap();
-        buf
+    /// The graph the frozen v1 fixture holds, built from its source.
+    fn fixture() -> (Graph, Vec<u64>) {
+        use crate::v1_fixture::{EDGES, LABELS, NODES};
+        (Graph::from_edges(NODES, EDGES), LABELS.to_vec())
+    }
+
+    fn v1_bytes() -> Vec<u8> {
+        crate::v1_fixture::TIMG_V1.to_vec()
+    }
+
+    fn assert_same_graph(a: &Graph, b: &Graph) {
+        assert_eq!(a.n(), b.n());
+        assert_eq!(a.m(), b.m());
+        for v in 0..a.n() as NodeId {
+            assert_eq!(a.out_neighbors(v), b.out_neighbors(v));
+            assert_eq!(a.out_probabilities(v), b.out_probabilities(v));
+            assert_eq!(a.in_neighbors(v), b.in_neighbors(v));
+            assert_eq!(a.in_probabilities(v), b.in_probabilities(v));
+        }
+        assert_eq!(graph_checksum(a), graph_checksum(b));
     }
 
     #[test]
     fn round_trip_is_bit_identical() {
-        let (g, labels) = sample();
-        let loaded = read_snapshot(encode(&g, &labels).as_slice()).unwrap();
+        // The v1 fixture decodes to the graph it was written from, and the
+        // v1 -> v2 migration (decode, write v2, decode) keeps every bit.
+        let (g, labels) = fixture();
+        let loaded = read_snapshot(v1_bytes().as_slice()).unwrap();
         assert_eq!(loaded.labels, labels);
-        assert_eq!(loaded.graph.n(), g.n());
-        assert_eq!(loaded.graph.m(), g.m());
-        for v in 0..g.n() as NodeId {
-            assert_eq!(loaded.graph.out_neighbors(v), g.out_neighbors(v));
-            assert_eq!(loaded.graph.out_probabilities(v), g.out_probabilities(v));
-            assert_eq!(loaded.graph.in_neighbors(v), g.in_neighbors(v));
-            assert_eq!(loaded.graph.in_probabilities(v), g.in_probabilities(v));
-        }
-        assert_eq!(graph_checksum(&loaded.graph), graph_checksum(&g));
+        assert_same_graph(&loaded.graph, &g);
+        let migrated = read_snapshot(encode_v2(&loaded.graph, &loaded.labels).as_slice()).unwrap();
+        assert_eq!(migrated.labels, labels);
+        assert_same_graph(&migrated.graph, &g);
     }
 
     #[test]
@@ -824,8 +797,7 @@ mod tests {
 
     #[test]
     fn bad_magic_is_rejected() {
-        let (g, labels) = sample();
-        let mut bytes = encode(&g, &labels);
+        let mut bytes = v1_bytes();
         bytes[0] ^= 0xFF;
         assert!(matches!(
             read_snapshot(bytes.as_slice()),
@@ -835,8 +807,7 @@ mod tests {
 
     #[test]
     fn bad_version_is_rejected() {
-        let (g, labels) = sample();
-        let mut bytes = encode(&g, &labels);
+        let mut bytes = v1_bytes();
         bytes[4] = 99;
         assert!(matches!(
             read_snapshot(bytes.as_slice()),
@@ -846,8 +817,7 @@ mod tests {
 
     #[test]
     fn flipped_payload_bit_fails_checksum() {
-        let (g, labels) = sample();
-        let mut bytes = encode(&g, &labels);
+        let mut bytes = v1_bytes();
         let mid = 16 + (bytes.len() - 16) / 2;
         bytes[mid] ^= 0x01;
         assert!(matches!(
@@ -858,8 +828,7 @@ mod tests {
 
     #[test]
     fn truncation_is_reported() {
-        let (g, labels) = sample();
-        let bytes = encode(&g, &labels);
+        let bytes = v1_bytes();
         for cut in [0, 3, 7, 15, 40, bytes.len() - 1] {
             assert!(
                 read_snapshot(&bytes[..cut]).is_err(),
@@ -870,8 +839,7 @@ mod tests {
 
     #[test]
     fn trailing_bytes_are_rejected() {
-        let (g, labels) = sample();
-        let mut bytes = encode(&g, &labels);
+        let mut bytes = v1_bytes();
         bytes.push(0);
         // The appended byte breaks the checksum first; either message is a
         // rejection, which is what matters.
@@ -905,7 +873,7 @@ mod tests {
         let (g, _) = sample();
         let mut buf = Vec::new();
         assert!(matches!(
-            write_snapshot(&g, &[1, 2, 3], &mut buf),
+            write_snapshot_v2(&g, &[1, 2, 3], &mut buf),
             Err(GraphError::Snapshot { .. })
         ));
     }
@@ -917,7 +885,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let snap = dir.join("g.timg");
         let text = dir.join("g.txt");
-        save_snapshot(&g, &labels, &snap).unwrap();
+        save_snapshot_v2(&g, &labels, &snap).unwrap();
         crate::io::save_edge_list(&g, &text).unwrap();
         assert!(sniff_snapshot(&snap).unwrap());
         assert!(!sniff_snapshot(&text).unwrap());
@@ -970,8 +938,8 @@ mod tests {
 
     #[test]
     fn v2_decodes_identically_to_v1() {
-        let (g, labels) = sample();
-        let v1 = read_snapshot(encode(&g, &labels).as_slice()).unwrap();
+        let (g, labels) = fixture();
+        let v1 = read_snapshot(v1_bytes().as_slice()).unwrap();
         let v2 = read_snapshot(encode_v2(&g, &labels).as_slice()).unwrap();
         assert_eq!(v1.labels, v2.labels);
         assert_eq!(
@@ -989,7 +957,7 @@ mod tests {
         let v1 = dir.join("g1.timg");
         let v2 = dir.join("g2.timg");
         let text = dir.join("g.txt");
-        save_snapshot(&g, &labels, &v1).unwrap();
+        std::fs::write(&v1, v1_bytes()).unwrap();
         save_snapshot_v2(&g, &labels, &v2).unwrap();
         crate::io::save_edge_list(&g, &text).unwrap();
         assert_eq!(snapshot_version(&v1).unwrap(), Some(VERSION));

@@ -1,7 +1,13 @@
 //! Property tests for graph IO: text → snapshot → load must be lossless
 //! (bit-identical CSR arrays and label maps), and corrupt or truncated
-//! snapshots must be rejected, never mis-loaded.
+//! snapshots must be rejected, never mis-loaded. The v1 reader is sprayed
+//! over the frozen v1 fixture, since nothing writes v1 any more.
 
+mod fixtures {
+    pub mod v1;
+}
+
+use fixtures::v1::TIMG_V1;
 use proptest::prelude::*;
 use tim_graph::{gen, io, snapshot, weights, Graph, GraphError, NodeId};
 
@@ -48,48 +54,13 @@ proptest! {
     ) {
         let loaded = labelled_graph(n, density, seed);
         let mut buf = Vec::new();
-        snapshot::write_snapshot(&loaded.graph, &loaded.labels, &mut buf).unwrap();
+        snapshot::write_snapshot_v2(&loaded.graph, &loaded.labels, &mut buf).unwrap();
         let reloaded = snapshot::read_snapshot(buf.as_slice()).unwrap();
         prop_assert_eq!(&reloaded.labels, &loaded.labels);
         assert_graphs_bit_identical(&reloaded.graph, &loaded.graph);
         prop_assert!(reloaded.graph.validate().is_ok());
     }
 
-    #[test]
-    fn every_truncation_is_rejected(
-        n in 5usize..30,
-        seed in 0u64..200,
-        frac in 0.0f64..1.0,
-    ) {
-        let loaded = labelled_graph(n, 2, seed);
-        let mut buf = Vec::new();
-        snapshot::write_snapshot(&loaded.graph, &loaded.labels, &mut buf).unwrap();
-        let cut = ((buf.len() - 1) as f64 * frac) as usize;
-        prop_assert!(
-            snapshot::read_snapshot(&buf[..cut]).is_err(),
-            "truncation to {} of {} bytes must fail", cut, buf.len()
-        );
-    }
-
-    #[test]
-    fn every_single_byte_corruption_is_rejected(
-        n in 5usize..30,
-        seed in 0u64..200,
-        frac in 0.0f64..1.0,
-        bit in 0u32..8,
-    ) {
-        let loaded = labelled_graph(n, 2, seed);
-        let mut buf = Vec::new();
-        snapshot::write_snapshot(&loaded.graph, &loaded.labels, &mut buf).unwrap();
-        let pos = ((buf.len() - 1) as f64 * frac) as usize;
-        buf[pos] ^= 1 << bit;
-        // A flip anywhere — header, checksum field, or payload — must
-        // surface as an error, never as a silently different graph.
-        prop_assert!(
-            snapshot::read_snapshot(buf.as_slice()).is_err(),
-            "bit {} of byte {} flipped undetected", bit, pos
-        );
-    }
 
     #[test]
     fn load_graph_dispatches_by_content(
@@ -104,7 +75,7 @@ proptest! {
         let text_path = dir.join("a.timg");
         let snap_path = dir.join("b.txt");
         io::save_edge_list(&loaded.graph, &text_path).unwrap();
-        snapshot::save_snapshot(&loaded.graph, &loaded.labels, &snap_path).unwrap();
+        snapshot::save_snapshot_v2(&loaded.graph, &loaded.labels, &snap_path).unwrap();
         let from_text = io::load_graph(&text_path, false).unwrap();
         let from_snap = io::load_graph(&snap_path, false).unwrap();
         prop_assert_eq!(from_text.graph.m(), loaded.graph.m());
@@ -115,19 +86,42 @@ proptest! {
 }
 
 #[test]
-fn snapshot_error_messages_name_the_failure() {
-    let loaded = labelled_graph(10, 2, 1);
-    let mut buf = Vec::new();
-    snapshot::write_snapshot(&loaded.graph, &loaded.labels, &mut buf).unwrap();
+fn every_truncation_is_rejected() {
+    for cut in 0..TIMG_V1.len() {
+        assert!(
+            snapshot::read_snapshot(&TIMG_V1[..cut]).is_err(),
+            "truncation to {cut} of {} bytes must fail",
+            TIMG_V1.len()
+        );
+    }
+}
 
-    let mut bad_magic = buf.clone();
+#[test]
+fn every_single_byte_corruption_is_rejected() {
+    for pos in 0..TIMG_V1.len() {
+        for bit in 0..8 {
+            let mut buf = TIMG_V1.to_vec();
+            buf[pos] ^= 1 << bit;
+            // A flip anywhere — header, checksum field, or payload — must
+            // surface as an error, never as a silently different graph.
+            assert!(
+                snapshot::read_snapshot(buf.as_slice()).is_err(),
+                "bit {bit} of byte {pos} flipped undetected"
+            );
+        }
+    }
+}
+
+#[test]
+fn snapshot_error_messages_name_the_failure() {
+    let mut bad_magic = TIMG_V1.to_vec();
     bad_magic[0] = b'X';
     match snapshot::read_snapshot(bad_magic.as_slice()) {
         Err(GraphError::Snapshot { message }) => assert!(message.contains("magic")),
         other => panic!("expected snapshot error, got {other:?}"),
     }
 
-    match snapshot::read_snapshot(&buf[..12]) {
+    match snapshot::read_snapshot(&TIMG_V1[..12]) {
         Err(GraphError::Snapshot { message }) => assert!(message.contains("truncated")),
         other => panic!("expected snapshot error, got {other:?}"),
     }

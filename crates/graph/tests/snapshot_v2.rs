@@ -7,6 +7,11 @@
 //! mapping (`MmapCsr::open` + `verify`). A corrupt attach must also
 //! leave a catalog slot reusable, not poisoned.
 
+mod fixtures {
+    pub mod v1;
+}
+
+use fixtures::v1 as v1_fixture;
 use tim_graph::snapshot::{graph_checksum, load_snapshot, save_snapshot_v2, snapshot_version};
 use tim_graph::{gen, weights, Graph, GraphStore, MmapCsr};
 
@@ -318,10 +323,11 @@ fn io_load_graph_version_gates_transparently() {
     // unchanged on a v2-aware build, and a v2 file handed to the generic
     // heap loader decodes eagerly instead of erroring.
     let dir = tmpdir("io_gate");
-    let (g, labels) = sample();
+    let g = Graph::from_edges(v1_fixture::NODES, v1_fixture::EDGES);
+    let labels = v1_fixture::LABELS.to_vec();
     let v1 = dir.join("g.v1.timg");
     let v2 = dir.join("g.v2.timg");
-    tim_graph::snapshot::save_snapshot(&g, &labels, &v1).unwrap();
+    std::fs::write(&v1, v1_fixture::TIMG_V1).unwrap();
     save_snapshot_v2(&g, &labels, &v2).unwrap();
     assert_eq!(snapshot_version(&v1).unwrap(), Some(1));
     assert_eq!(snapshot_version(&v2).unwrap(), Some(2));
@@ -363,9 +369,8 @@ fn corrupt_open_never_yields_a_usable_store() {
     assert!(GraphStore::open_mmap(&path).is_err());
 
     // A v1 snapshot is not mmap-able: open must refuse, not misread.
-    let (g, labels) = sample();
     let v1 = dir.join("v1.timg");
-    tim_graph::snapshot::save_snapshot(&g, &labels, &v1).unwrap();
+    std::fs::write(&v1, v1_fixture::TIMG_V1).unwrap();
     assert!(GraphStore::open_mmap(&v1).is_err());
     // ...and the pristine v2 still opens after all those rejections.
     std::fs::write(&path, &pristine).unwrap();

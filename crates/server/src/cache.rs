@@ -916,20 +916,13 @@ mod tests {
             base.next_u64()
         };
         assert_ne!(old_select_seed, tim_core::select_stream_seed(k.seed));
-        for (tag, v2, mmap_pools) in [
-            ("stale_v1", false, false),
-            ("stale_v2_heap", true, false),
-            ("stale_v2_mapped", true, true),
-        ] {
+        // A v1 file restores through the same heap path as `stale_heap`:
+        // both decode to an `RrPool` that `QueryEngine::from_pool` checks.
+        for (tag, mmap_pools) in [("stale_heap", false), ("stale_mapped", true)] {
             let (dir, store) = tmp_store(tag);
             let mut stale = cheap_engine(&g, 1.0).to_pool();
             stale.meta.select_seed = old_select_seed;
-            let path = store.path_for(&k);
-            if v2 {
-                stale.save_v2(&path).unwrap();
-            } else {
-                stale.save(&path).unwrap();
-            }
+            stale.save_v2(store.path_for(&k)).unwrap();
 
             let cache = PoolCache::with_store(2, Arc::clone(&store), true, mmap_pools);
             cache.get_or_load(&k, |p| restore(&g, p), || cheap_engine(&g, 1.0));
@@ -941,6 +934,35 @@ mod tests {
             assert_eq!(fresh.meta.select_seed, tim_core::select_stream_seed(k.seed));
             std::fs::remove_dir_all(&dir).ok();
         }
+    }
+
+    #[test]
+    fn a_pool_that_cannot_be_spilled_keeps_serving_from_memory() {
+        // A model tag longer than the pool file's 32-byte field: the
+        // write-through spill fails and the pool stays in memory.
+        let g = graph();
+        let (dir, store) = tmp_store("long_tag");
+        let tag = "m".repeat(tim_engine::POOL_V2_MODEL_TAG_MAX + 1);
+        let k = PoolKey::new(graph_checksum(&g), tag.as_str(), 0, 1.0, 1.0);
+        let cache = PoolCache::with_store(2, Arc::clone(&store), true, false);
+        let build = || {
+            let mut engine = QueryEngine::new(Arc::clone(&g), IndependentCascade, tag.as_str())
+                .epsilon(1.0)
+                .threads(1)
+                .k_max(2);
+            engine.warm().unwrap();
+            SharedEngine::new(engine)
+        };
+        let first = cache.get_or_load(&k, |p| restore(&g, p), build);
+        let want = first.select(2).seeds;
+        let again = cache.get_or_load(&k, |_| panic!("nothing on disk"), || unreachable!());
+        assert!(Arc::ptr_eq(&first, &again), "served from memory");
+        assert_eq!(again.select(2).seeds, want);
+        let s = cache.stats();
+        assert_eq!((s.builds, s.hits, s.spills), (1, 1, 0));
+        assert_eq!(store.stats().spills, 0);
+        assert!(store.is_empty(), "no file written");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -775,7 +775,7 @@ impl<M: BackingModel + Send + Clone + 'static> GraphCatalog<M> {
                 if config.weights != "keep" {
                     return Err(format!(
                         "graph '{}': mmap serving requires weights=keep (probabilities are \
-                         baked into the v2 snapshot; bake them with `tim snapshot --format v2 \
+                         baked into the v2 snapshot; bake them with `tim snapshot \
                          --weights {}` instead)",
                         slot.name, config.weights
                     ));
@@ -783,7 +783,7 @@ impl<M: BackingModel + Send + Clone + 'static> GraphCatalog<M> {
                 let store = GraphStore::open_mmap(path).map_err(|e| {
                     format!(
                         "graph '{}': mapping {}: {e} (mmap needs a v2 snapshot; \
-                         create one with `tim snapshot --format v2`)",
+                         create one with `tim snapshot`)",
                         slot.name,
                         path.display()
                     )

@@ -38,6 +38,21 @@ echo "== snapshot: binary graph round trip =="
 SNAP=out/kick-tires/ba_small.timg
 "$TIM" snapshot "$GRAPH" --out "$SNAP" | tee out/kick-tires/snapshot.txt
 "$TIM" stats "$SNAP" > /dev/null   # transparent .timg input
+# v2 is the only format written: the default and --format v2 give the same
+# bytes, and --format v1 is refused with an error line.
+"$TIM" snapshot "$GRAPH" --out out/kick-tires/ba_small.fmt_v2.timg --format v2 > /dev/null
+cmp "$SNAP" out/kick-tires/ba_small.fmt_v2.timg \
+    && echo "default snapshot == --format v2 snapshot: OK"
+if "$TIM" snapshot "$GRAPH" --out out/kick-tires/ba_small.v1.timg --format v1 \
+    2> out/kick-tires/snapshot_v1.log; then
+    echo "tim snapshot --format v1 succeeded" >&2
+    exit 1
+fi
+grep -q '^error: .*read-only' out/kick-tires/snapshot_v1.log \
+    && echo "tim snapshot --format v1 rejected: OK"
+# v1 files are still read: the frozen fixture loads like any graph.
+"$TIM" stats crates/graph/tests/fixtures/v1.timg | tee out/kick-tires/stats_v1.txt
+grep -q 'nodes' out/kick-tires/stats_v1.txt && echo "v1 fixture loads through tim stats: OK"
 
 echo "== query engine: warm pool answers == fresh select =="
 POOL=out/kick-tires/ba_small.timp
@@ -276,6 +291,19 @@ OC_ADDR=$(sed -n 's/^listening on //p' out/kick-tires/oc_serve.addr)
 echo "mmap-backed server at $OC_ADDR (pid $OC_PID)"
 "$TIM" client --addr "$OC_ADDR" --timeout 60 < "$SESSION" \
     > out/kick-tires/oc_serve_answers.txt
+# Re-snapshot over the path the server maps, with other weights. The save
+# publishes a new inode, so the server keeps its old mapping: it still
+# answers ping, and a fresh-eps select (which samples the mapped graph)
+# equals what the old file answered.
+printf 'ping\nselect 4 eps=0.5\n' > out/kick-tires/resnap_session.txt
+"$TIM" query "$SNAP2" -k 10 --eps 0.3 --seed 7 --mmap < out/kick-tires/resnap_session.txt \
+    > out/kick-tires/resnap_want.txt
+"$TIM" snapshot "$GRAPH" --out "$SNAP2" --weights const:0.05 > /dev/null
+"$TIM" client --addr "$OC_ADDR" --timeout 60 < out/kick-tires/resnap_session.txt \
+    > out/kick-tires/resnap_got.txt
+diff out/kick-tires/resnap_want.txt out/kick-tires/resnap_got.txt \
+    && echo "re-snapshot under a live --mmap server: still serving the old graph: OK"
+"$TIM" snapshot "$GRAPH" --out "$SNAP2" --weights wc > /dev/null
 kill $OC_PID 2>/dev/null || true
 wait $OC_PID 2>/dev/null || true
 trap - EXIT
