@@ -713,34 +713,7 @@ fn ablation(opts: &Opts) {
     let ic = tim_diffusion::IndependentCascade;
     let k = 50;
 
-    // A. Greedy max-coverage implementation (lazy heap vs bucket queue).
-    {
-        let mut t = Table::new(["k", "lazy heap (s)", "bucket queue (s)"]);
-        for k in [1usize, 10, 50] {
-            let (_, lazy_t) = time(|| {
-                TimPlus::new(ic)
-                    .epsilon(opts.eps)
-                    .seed(opts.seed)
-                    .greedy(tim_core::GreedyImpl::LazyHeap)
-                    .run(&g, k)
-            });
-            let (_, bucket_t) = time(|| {
-                TimPlus::new(ic)
-                    .epsilon(opts.eps)
-                    .seed(opts.seed)
-                    .greedy(tim_core::GreedyImpl::BucketQueue)
-                    .run(&g, k)
-            });
-            t.push_row([k.to_string(), secs(lazy_t), secs(bucket_t)]);
-        }
-        emit(
-            opts,
-            "Ablation A: greedy max-coverage variant (TIM+ total time)",
-            &t,
-        );
-    }
-
-    // B. θ sensitivity: spread of NodeSelection at fractions of TIM+'s θ.
+    // A. θ sensitivity: spread of NodeSelection at fractions of TIM+'s θ.
     {
         let base = TimPlus::new(ic)
             .epsilon(opts.eps)
@@ -751,15 +724,7 @@ fn ablation(opts: &Opts) {
         let full_spread = est.estimate(&g, &base.seeds);
         for mult in [0.1f64, 0.25, 0.5, 1.0, 2.0] {
             let theta = ((base.theta as f64 * mult) as u64).max(1);
-            let sel = tim_core::select::node_selection(
-                &g,
-                &ic,
-                k,
-                theta,
-                opts.seed ^ 0x77,
-                1,
-                tim_core::GreedyImpl::LazyHeap,
-            );
+            let sel = tim_core::select::node_selection(&g, &ic, k, theta, opts.seed ^ 0x77, 1);
             let spread = est.estimate(&g, &sel.seeds);
             t.push_row([
                 format!("{mult}"),
@@ -771,14 +736,14 @@ fn ablation(opts: &Opts) {
         emit(
             opts,
             &format!(
-                "Ablation B: theta sensitivity at k={k} (guaranteed theta = {})",
+                "Ablation A: theta sensitivity at k={k} (guaranteed theta = {})",
                 base.theta
             ),
             &t,
         );
     }
 
-    // C. ε′ choice for RefineKPT: total RR sets vs the §4.1 minimiser.
+    // B. ε′ choice for RefineKPT: total RR sets vs the §4.1 minimiser.
     {
         let auto = tim_core::math::epsilon_prime(opts.eps, k as u64, 1.0);
         let mut t = Table::new(["eps'", "total RR sets", "KPT+", "time (s)"]);
@@ -804,12 +769,12 @@ fn ablation(opts: &Opts) {
         }
         emit(
             opts,
-            "Ablation C: eps' choice in RefineKPT (total sampling effort)",
+            "Ablation B: eps' choice in RefineKPT (total sampling effort)",
             &t,
         );
     }
 
-    // D. TIM vs TIM+ vs IMM (the successor algorithm, our extension).
+    // C. TIM vs TIM+ vs IMM (the successor algorithm, our extension).
     {
         let est = SpreadEstimator::new(ic).runs(5_000).seed(opts.seed ^ 0x99);
         let mut t = Table::new(["algorithm", "time (s)", "RR sets", "MC spread"]);
@@ -846,7 +811,7 @@ fn ablation(opts: &Opts) {
         ]);
         emit(
             opts,
-            &format!("Ablation D: TIM vs TIM+ vs IMM at k={k}, eps={}", opts.eps),
+            &format!("Ablation C: TIM vs TIM+ vs IMM at k={k}, eps={}", opts.eps),
             &t,
         );
     }

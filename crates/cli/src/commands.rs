@@ -21,7 +21,8 @@ use tim_server::{
     DEFAULT_GRAPH_NAME, NOT_UTF8_LINE_REPLY, OVERSIZED_LINE_REPLY,
 };
 
-/// Usage text printed on errors.
+/// Usage text: printed by `tim` with no arguments and after every usage
+/// error (see [`parse_command`]).
 pub const USAGE: &str = "\
 usage:
   tim select   <graph> -k <K> [--algo tim+|tim|imm|ris|celf|celf++|greedy|irie|simpath|degree|degreediscount|pagerank]
@@ -93,14 +94,19 @@ usage:
   so --mmap implies --weights keep (an explicit contradicting --weights
   is an error); per-graph `mmap=` overrides flip the choice per graph.";
 
-/// Entry point: dispatches on the subcommand.
-pub fn dispatch(argv: &[String]) -> Result<(), String> {
+/// A subcommand's entry point. Its errors concern the inputs, not the
+/// command line, so they get no usage text.
+pub type Run = fn(&Args) -> Result<(), String>;
+
+/// Parses argv into the subcommand to run and its flags. Every error here
+/// is a usage error: a missing or unknown subcommand, a flag without its
+/// value, or a flag the subcommand does not document.
+pub fn parse_command(argv: &[String]) -> Result<(Run, Args), String> {
     let (cmd, rest) = argv
         .split_first()
         .ok_or_else(|| "missing subcommand".to_string())?;
     // Each subcommand with the flags it documents in USAGE (value flags
     // and switches alike, without dashes); any other flag is an error.
-    type Run = fn(&Args) -> Result<(), String>;
     let (run, flags): (Run, &[&[&str]]) = match cmd.as_str() {
         "select" => (
             select,
@@ -140,7 +146,7 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
     };
     let args = Args::parse(rest)?;
     args.reject_unknown(&flags.concat())?;
-    run(&args)
+    Ok((run, args))
 }
 
 /// The flags `query` and `serve` share.
@@ -1047,6 +1053,12 @@ mod tests {
         s.split_whitespace().map(String::from).collect()
     }
 
+    /// Parses and runs a command line, as `tim` does.
+    fn dispatch(argv: &[String]) -> Result<(), String> {
+        let (run, args) = parse_command(argv)?;
+        run(&args)
+    }
+
     fn tmpdir() -> std::path::PathBuf {
         let d = std::env::temp_dir().join(format!("tim_cli_test_{}", std::process::id()));
         std::fs::create_dir_all(&d).unwrap();
@@ -1057,6 +1069,40 @@ mod tests {
     fn dispatch_rejects_unknown_subcommand() {
         assert!(dispatch(&argv("frobnicate")).is_err());
         assert!(dispatch(&[]).is_err());
+    }
+
+    #[test]
+    fn only_command_line_errors_are_usage_errors() {
+        // Refused while parsing: `tim` prints USAGE after these.
+        for line in [
+            "",
+            "frobnicate",
+            "stats g.txt --undirected --bogus",
+            "select g.txt -k",
+            "snapshot g.txt --out",
+        ] {
+            assert!(parse_command(&argv(line)).is_err(), "{line:?}");
+        }
+        // Parsed fine, refused while running: one error line, no USAGE.
+        let dir = tmpdir();
+        let missing = dir.join("no_such_graph.txt");
+        let out = dir.join("never_written.timg");
+        for (line, want) in [
+            (
+                format!(
+                    "snapshot {} --out {} --format v1",
+                    missing.display(),
+                    out.display()
+                ),
+                "read-only",
+            ),
+            (format!("stats {}", missing.display()), "no_such_graph"),
+        ] {
+            let (run, args) = parse_command(&argv(&line)).unwrap();
+            let err = run(&args).unwrap_err();
+            assert!(err.contains(want), "{line}: {err}");
+        }
+        assert!(!out.exists());
     }
 
     #[test]

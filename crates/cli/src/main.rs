@@ -1,25 +1,7 @@
 //! `tim` — command-line influence maximization.
 //!
-//! ```text
-//! tim select   <graph> -k 50 [--algo tim+] [--model ic] [--weights wc]
-//!              [--eps 0.1] [--ell 1.0] [--seed 0] [--undirected]
-//! tim evaluate <graph> --seeds 3,17,42 [--model ic] [--weights wc]
-//!              [--runs 10000] [--seed 0] [--undirected]
-//! tim stats    <graph> [--undirected]
-//! tim generate <ba|gnm|ws|powerlaw|nethept|epinions|dblp|livejournal|twitter>
-//!              --out <path> [--n 10000] [--param 4] [--scale 1.0] [--seed 0]
-//! tim snapshot <graph> --out <path.timg> [--weights keep] [--undirected]
-//! tim query    [<graph>] [--graph name=path[::k=v,...]]... [--graphs <dir>]
-//!              [--pool <path.timp>] [--pool-dir <dir>] [--persist-pools]
-//!              [--admin] [-k 50] [--model ic]
-//!              [--eps 0.1] [--ell 1.0] [--seed 0] [--quiet]
-//! tim serve    [<graph>] [--graph name=path[::k=v,...]]... [--graphs <dir>]
-//!              [--addr 127.0.0.1:7171] [--threads 4] [--pool-cache 4]
-//!              [-k 50] [--model ic] [--eps 0.1] [--seed 0] [--pool <path.timp>]
-//!              [--pool-dir <dir>] [--persist-pools] [--admin]
-//!              [--default-graph <name>] [--max-loaded 8]
-//! tim client   --addr <host:port> [--timeout <secs>]
-//! ```
+//! Run `tim` with no arguments for the usage text (`commands::USAGE`),
+//! the one synopsis of every subcommand and flag.
 //!
 //! `<graph>` is either SNAP-style text (`src dst [prob]`, `#` comments) or
 //! a binary `.timg` snapshot (`tim snapshot`), auto-detected by content.
@@ -54,13 +36,16 @@ mod commands;
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    match commands::dispatch(&argv) {
-        Ok(()) => {}
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!();
-            eprintln!("{}", commands::USAGE);
-            std::process::exit(2);
-        }
+    // A malformed command line gets the usage text; a command that fails
+    // on its inputs gets one error line.
+    let (run, args) = commands::parse_command(&argv).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        eprintln!();
+        eprintln!("{}", commands::USAGE);
+        std::process::exit(2);
+    });
+    if let Err(e) = run(&args) {
+        eprintln!("error: {e}");
+        std::process::exit(2);
     }
 }

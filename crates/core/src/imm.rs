@@ -18,15 +18,15 @@
 //! - Final θ = `λ*/LB` with the tighter constant
 //!   `λ* = 2n·((1 − 1/e)·α + β)²·ε^(−2)`.
 //!
-//! The module reuses this workspace's RR sampler and coverage solver, so
+//! The module reuses this workspace's RR sampler and its one coverage
+//! solver (the lazy-heap [`greedy_max_cover`]), so
 //! IMM, TIM and TIM+ are directly comparable (see the `ablation`
 //! experiment).
 
 use crate::math::ln_choose;
-use crate::select::run_greedy;
-use crate::tim::{GreedyImpl, PhaseTimings};
+use crate::tim::PhaseTimings;
 use std::time::Instant;
-use tim_coverage::{CoverResult, SetCollection};
+use tim_coverage::{greedy_max_cover, SetCollection};
 use tim_diffusion::{DiffusionModel, RrSampler};
 use tim_graph::{Graph, NodeId};
 use tim_rng::Rng;
@@ -60,7 +60,6 @@ pub struct Imm<M> {
     epsilon: f64,
     ell: f64,
     seed: u64,
-    greedy: GreedyImpl,
 }
 
 impl<M: DiffusionModel + Sync> Imm<M> {
@@ -71,7 +70,6 @@ impl<M: DiffusionModel + Sync> Imm<M> {
             epsilon: 0.1,
             ell: 1.0,
             seed: 0,
-            greedy: GreedyImpl::LazyHeap,
         }
     }
 
@@ -96,17 +94,6 @@ impl<M: DiffusionModel + Sync> Imm<M> {
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
-    }
-
-    /// Chooses the greedy max-coverage implementation.
-    #[must_use]
-    pub fn greedy(mut self, greedy: GreedyImpl) -> Self {
-        self.greedy = greedy;
-        self
-    }
-
-    fn cover(&self, collection: &mut SetCollection, k: usize) -> CoverResult {
-        run_greedy(collection, k, self.greedy)
     }
 
     /// Selects `k` seeds on `graph`.
@@ -151,7 +138,7 @@ impl<M: DiffusionModel + Sync> Imm<M> {
                 sampler.sample_random(graph, &mut rng, &mut buf);
                 collection.push(&buf);
             }
-            let cover = self.cover(&mut collection, k);
+            let cover = greedy_max_cover(&mut collection, k);
             let frac = cover.coverage_fraction(collection.len());
             if n * frac >= (1.0 + eps_p) * x {
                 lb = n * frac / (1.0 + eps_p);
@@ -175,7 +162,7 @@ impl<M: DiffusionModel + Sync> Imm<M> {
             collection.push(&buf);
         }
         let rr_memory_bytes = collection.memory_bytes();
-        let cover = self.cover(&mut collection, k);
+        let cover = greedy_max_cover(&mut collection, k);
         let selection_time = t1.elapsed();
         let frac = cover.coverage_fraction(collection.len());
 

@@ -43,6 +43,4 @@ pub mod tim;
 
 pub use imm::{Imm, ImmResult};
 pub use memo::KptMemo;
-pub use tim::{
-    select_stream_seed, GreedyImpl, PhaseTimings, SamplingPlan, Tim, TimPlus, TimResult,
-};
+pub use tim::{select_stream_seed, PhaseTimings, SamplingPlan, Tim, TimPlus, TimResult};

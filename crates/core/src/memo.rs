@@ -1,8 +1,8 @@
 //! Tabling for the ε-free half of TIM+ planning.
 //!
 //! Algorithm 2's KPT* and RefineKPT's candidate `S'_k` (Algorithm 3
-//! lines 2–6) depend on the graph, the model, `k`, the adjusted ℓ, the
-//! run seed and the greedy variant — never on ε: the KPT stream is the
+//! lines 2–6) depend on the graph, the model, `k`, the adjusted ℓ and
+//! the run seed — never on ε: the KPT stream is the
 //! first split of the run seed and is drawn before ε is used. A
 //! [`KptMemo`] stores that ε-free summary the first time a key is
 //! planned and answers repeats from the table (XSB-style tabling), so
@@ -15,7 +15,6 @@
 //! callers keep one memo per resident graph (`tim_server` keeps it on
 //! the graph's state and drops it with the graph).
 
-use crate::tim::GreedyImpl;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -48,8 +47,6 @@ pub(crate) struct MemoKey {
     pub ell_eff_bits: u64,
     /// The run seed.
     pub seed: u64,
-    /// The greedy variant that picks the candidate.
-    pub greedy: GreedyImpl,
 }
 
 /// One key's value, filled at most once; its lock is held while the

@@ -14,8 +14,7 @@
 use crate::kpt::KptEstimate;
 use crate::math::{epsilon_prime, lambda_prime, sample_count, SampleCountError};
 use crate::parallel::generate_rr_sets_per_edge;
-use crate::select::run_greedy;
-use crate::tim::GreedyImpl;
+use tim_coverage::greedy_max_cover;
 use tim_diffusion::DiffusionModel;
 use tim_graph::{CsrAccess, NodeId};
 use tim_rng::{RandomSource, Rng};
@@ -37,8 +36,8 @@ pub struct Refined {
 /// last KPT iteration's RR sets. ε-free — it depends on the run only
 /// through `kpt` — so [`KptMemo`](crate::memo::KptMemo) stores it with
 /// KPT*.
-pub fn refine_candidate(kpt: &mut KptEstimate, k: usize, greedy: GreedyImpl) -> Vec<NodeId> {
-    run_greedy(&mut kpt.last_iteration_sets, k, greedy).seeds
+pub fn refine_candidate(kpt: &mut KptEstimate, k: usize) -> Vec<NodeId> {
+    greedy_max_cover(&mut kpt.last_iteration_sets, k).seeds
 }
 
 /// Algorithm 3 lines 7–12: estimates the spread of `candidate` (from
@@ -99,7 +98,7 @@ mod tests {
         rng: &mut Rng,
         threads: usize,
     ) -> Refined {
-        let candidate = refine_candidate(&mut kpt, k, GreedyImpl::LazyHeap);
+        let candidate = refine_candidate(&mut kpt, k);
         let (model, star) = (&IndependentCascade, kpt.kpt_star);
         refine_bound(
             g,
@@ -158,15 +157,7 @@ mod tests {
         let mut rng = Rng::seed_from_u64(6);
         let kpt = estimate_kpt(&g, &IndependentCascade, k as u64, 1.0, &mut rng).unwrap();
         let refined = refine(&g, k, kpt, None, &mut rng, 1);
-        let sel = crate::select::node_selection(
-            &g,
-            &IndependentCascade,
-            k,
-            20_000,
-            7,
-            2,
-            GreedyImpl::LazyHeap,
-        );
+        let sel = crate::select::node_selection(&g, &IndependentCascade, k, 20_000, 7, 2);
         let opt_proxy = SpreadEstimator::new(IndependentCascade)
             .runs(20_000)
             .seed(8)

@@ -6,22 +6,9 @@
 //! (Theorem 1).
 
 use crate::parallel::{generate_rr_sets, BulkStats};
-use crate::tim::GreedyImpl;
-use tim_coverage::{greedy_max_cover, greedy_max_cover_bucket, CoverResult, SetCollection};
+use tim_coverage::{greedy_max_cover, CoverResult};
 use tim_diffusion::DiffusionModel;
 use tim_graph::{CsrAccess, NodeId};
-
-/// Runs the configured greedy solver over `collection`.
-pub(crate) fn run_greedy(
-    collection: &mut SetCollection,
-    k: usize,
-    greedy: GreedyImpl,
-) -> CoverResult {
-    match greedy {
-        GreedyImpl::LazyHeap => greedy_max_cover(collection, k),
-        GreedyImpl::BucketQueue => greedy_max_cover_bucket(collection, k),
-    }
-}
 
 /// Output of [`node_selection`].
 #[derive(Debug)]
@@ -51,11 +38,10 @@ pub fn node_selection<G: CsrAccess, M: DiffusionModel<G> + Sync>(
     theta: u64,
     seed: u64,
     threads: usize,
-    greedy: GreedyImpl,
 ) -> Selection {
     let (mut collection, stats) = generate_rr_sets(graph, model, theta, seed, threads);
     let rr_memory_bytes = collection.memory_bytes();
-    let cover: CoverResult = run_greedy(&mut collection, k, greedy);
+    let cover: CoverResult = greedy_max_cover(&mut collection, k);
     let frac = cover.coverage_fraction(collection.len());
     Selection {
         estimated_spread: frac * graph.n() as f64,
@@ -77,15 +63,7 @@ mod tests {
     fn selects_k_distinct_seeds() {
         let mut g = gen::barabasi_albert(150, 3, 0.0, 1);
         weights::assign_weighted_cascade(&mut g);
-        let sel = node_selection(
-            &g,
-            &IndependentCascade,
-            10,
-            2_000,
-            2,
-            1,
-            GreedyImpl::LazyHeap,
-        );
+        let sel = node_selection(&g, &IndependentCascade, 10, 2_000, 2, 1);
         assert_eq!(sel.seeds.len(), 10);
         let mut s = sel.seeds.clone();
         s.sort_unstable();
@@ -103,7 +81,7 @@ mod tests {
             b.add_edge_with_probability(0, v, 1.0);
         }
         let g = b.build();
-        let sel = node_selection(&g, &IndependentCascade, 1, 500, 3, 1, GreedyImpl::LazyHeap);
+        let sel = node_selection(&g, &IndependentCascade, 1, 500, 3, 1);
         assert_eq!(sel.seeds, vec![0]);
         assert_eq!(sel.coverage_fraction, 1.0);
         assert_eq!(sel.estimated_spread, n as f64);
@@ -113,15 +91,7 @@ mod tests {
     fn coverage_estimate_tracks_monte_carlo_spread() {
         let mut g = gen::barabasi_albert(300, 4, 0.0, 4);
         weights::assign_weighted_cascade(&mut g);
-        let sel = node_selection(
-            &g,
-            &IndependentCascade,
-            5,
-            20_000,
-            5,
-            2,
-            GreedyImpl::LazyHeap,
-        );
+        let sel = node_selection(&g, &IndependentCascade, 5, 20_000, 5, 2);
         let mc = SpreadEstimator::new(IndependentCascade)
             .runs(20_000)
             .seed(6)
@@ -136,60 +106,13 @@ mod tests {
     }
 
     #[test]
-    fn greedy_variants_give_same_quality() {
-        let mut g = gen::barabasi_albert(200, 3, 0.0, 7);
-        weights::assign_weighted_cascade(&mut g);
-        let a = node_selection(
-            &g,
-            &IndependentCascade,
-            8,
-            5_000,
-            8,
-            1,
-            GreedyImpl::LazyHeap,
-        );
-        let b = node_selection(
-            &g,
-            &IndependentCascade,
-            8,
-            5_000,
-            8,
-            1,
-            GreedyImpl::BucketQueue,
-        );
-        let rel = (a.coverage_fraction - b.coverage_fraction).abs() / a.coverage_fraction.max(1e-9);
-        assert!(
-            rel < 0.02,
-            "lazy {} vs bucket {}",
-            a.coverage_fraction,
-            b.coverage_fraction
-        );
-    }
-
-    #[test]
     fn selection_is_deterministic_across_thread_counts() {
         let mut g = gen::barabasi_albert(150, 3, 0.0, 9);
         weights::assign_weighted_cascade(&mut g);
-        let a = node_selection(
-            &g,
-            &IndependentCascade,
-            5,
-            3_000,
-            10,
-            1,
-            GreedyImpl::LazyHeap,
-        );
+        let a = node_selection(&g, &IndependentCascade, 5, 3_000, 10, 1);
         // The sampling thread count varies; the answer may not.
         for threads in [2, 4, 8] {
-            let b = node_selection(
-                &g,
-                &IndependentCascade,
-                5,
-                3_000,
-                10,
-                threads,
-                GreedyImpl::LazyHeap,
-            );
+            let b = node_selection(&g, &IndependentCascade, 5, 3_000, 10, threads);
             assert_eq!(a.seeds, b.seeds, "threads={threads}");
             assert_eq!(a.estimated_spread, b.estimated_spread);
         }

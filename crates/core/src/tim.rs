@@ -21,16 +21,6 @@ use tim_diffusion::DiffusionModel;
 use tim_graph::{CsrAccess, NodeId};
 use tim_rng::{RandomSource, Rng};
 
-/// Which greedy max-coverage implementation the selection phases use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum GreedyImpl {
-    /// Lazy max-heap (CELF-style); the default.
-    #[default]
-    LazyHeap,
-    /// Bucket queue with the linear-time bound.
-    BucketQueue,
-}
-
 /// Wall-clock time spent in each phase of a run.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PhaseTimings {
@@ -80,7 +70,6 @@ struct Config {
     ell: f64,
     seed: u64,
     threads: usize,
-    greedy: GreedyImpl,
     eps_prime_override: Option<f64>,
 }
 
@@ -91,7 +80,6 @@ impl Default for Config {
             ell: 1.0,
             seed: 0,
             threads: std::thread::available_parallelism().map_or(1, |p| p.get()),
-            greedy: GreedyImpl::LazyHeap,
             eps_prime_override: None,
         }
     }
@@ -132,13 +120,6 @@ macro_rules! builder_methods {
             self.cfg.threads = threads;
             self
         }
-
-        /// Chooses the greedy max-coverage implementation.
-        #[must_use]
-        pub fn greedy(mut self, greedy: GreedyImpl) -> Self {
-            self.cfg.greedy = greedy;
-            self
-        }
     };
 }
 
@@ -147,11 +128,11 @@ macro_rules! builder_methods {
 /// the KPT bounds that produced them.
 ///
 /// A plan is a pure function of `(graph, model, ε, ℓ, seed, k)` — two
-/// equal plans followed by [`node_selection`] with the same greedy variant
-/// produce byte-identical seed sets. `tim_engine` relies on this to answer
-/// queries from a persisted RR-set pool without re-running selection
-/// sampling: it re-derives the plan (cheap) and replays only the greedy
-/// step over the pool prefix that a fresh run would have sampled.
+/// equal plans followed by [`node_selection`] produce byte-identical seed
+/// sets. `tim_engine` relies on this to answer queries from a persisted
+/// RR-set pool without re-running selection sampling: it re-derives the
+/// plan (cheap) and replays only the greedy step over the pool prefix
+/// that a fresh run would have sampled.
 #[derive(Debug, Clone)]
 pub struct SamplingPlan {
     /// Requested seed-set size, clamped to `n`.
@@ -317,7 +298,7 @@ impl<M> TimPlus<M> {
 
     /// [`try_plan`](Self::try_plan) through a per-graph [`KptMemo`]: the
     /// ε-free half of the plan (KPT* and RefineKPT's candidate) is
-    /// computed once per `(model_tag, k, ℓ_eff, seed, greedy)` and reused
+    /// computed once per `(model_tag, k, ℓ_eff, seed)` and reused
     /// by every later plan of that key, whatever its ε. The plan is
     /// bit-identical to [`try_plan`](Self::try_plan)'s, down to
     /// `estimation_rr_sets`; only `phases.parameter_estimation` differs —
@@ -386,8 +367,7 @@ fn plan_impl<G: CsrAccess, M: DiffusionModel<G> + Sync>(
 
     // Phase 1: Algorithm 2, plus RefineKPT's ε-free candidate step
     // (TIM+ only) — from the memo when one is given and holds the key.
-    let greedy = refine.then_some(cfg.greedy);
-    let mut estimate = || summarize(graph, model, k, ell_eff, &mut kpt_rng, greedy, &mut phases);
+    let mut estimate = || summarize(graph, model, k, ell_eff, &mut kpt_rng, refine, &mut phases);
     let summary = match memo {
         None => estimate()?,
         Some((memo, tag)) => {
@@ -396,7 +376,6 @@ fn plan_impl<G: CsrAccess, M: DiffusionModel<G> + Sync>(
                 k,
                 ell_eff_bits: ell_eff.to_bits(),
                 seed: cfg.seed,
-                greedy: cfg.greedy,
             };
             memo.get_or_compute(key, estimate)?
         }
@@ -447,28 +426,27 @@ fn plan_impl<G: CsrAccess, M: DiffusionModel<G> + Sync>(
     })
 }
 
-/// Algorithm 2 and, when `greedy` is given (TIM+), RefineKPT's candidate
-/// step: the ε-free half of a plan, timed into `phases`.
+/// Algorithm 2 and, when `refine` (TIM+), RefineKPT's candidate step:
+/// the ε-free half of a plan, timed into `phases`.
 fn summarize<G: CsrAccess, M: DiffusionModel<G> + Sync>(
     graph: &G,
     model: &M,
     k: usize,
     ell_eff: f64,
     kpt_rng: &mut Rng,
-    greedy: Option<GreedyImpl>,
+    refine: bool,
     phases: &mut PhaseTimings,
 ) -> Result<KptSummary, SampleCountError> {
     let t0 = Instant::now();
     let mut kpt = estimate_kpt(graph, model, k as u64, ell_eff, kpt_rng)?;
     phases.parameter_estimation = t0.elapsed();
-    let candidate = match greedy {
-        Some(greedy) => {
-            let t1 = Instant::now();
-            let candidate = refine_candidate(&mut kpt, k, greedy);
-            phases.refinement = t1.elapsed();
-            candidate
-        }
-        None => Vec::new(),
+    let candidate = if refine {
+        let t1 = Instant::now();
+        let candidate = refine_candidate(&mut kpt, k);
+        phases.refinement = t1.elapsed();
+        candidate
+    } else {
+        Vec::new()
     };
     Ok(KptSummary {
         kpt_star: kpt.kpt_star,
@@ -496,7 +474,6 @@ fn run_impl<G: CsrAccess, M: DiffusionModel<G> + Sync>(
         plan.theta,
         plan.select_seed,
         cfg.threads,
-        cfg.greedy,
     );
     phases.node_selection = t2.elapsed();
 
@@ -690,17 +667,6 @@ mod tests {
     fn zero_k_panics() {
         let g = wc_graph(50, 21);
         Tim::new(IndependentCascade).run(&g, 0);
-    }
-
-    #[test]
-    fn bucket_greedy_variant_runs() {
-        let g = wc_graph(200, 22);
-        let r = TimPlus::new(IndependentCascade)
-            .epsilon(0.8)
-            .seed(23)
-            .greedy(GreedyImpl::BucketQueue)
-            .run(&g, 5);
-        assert_eq!(r.seeds.len(), 5);
     }
 
     #[test]

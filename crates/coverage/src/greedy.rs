@@ -1,18 +1,16 @@
-//! Greedy maximum-coverage solvers (Algorithm 1, lines 3–7).
+//! The greedy maximum-coverage solver (Algorithm 1, lines 3–7).
 //!
 //! Maximum coverage is NP-hard; the greedy algorithm that repeatedly picks
 //! the node covering the most still-uncovered sets is a `(1 − 1/e)`
 //! approximation (Vazirani \[29\]), and that factor is what Theorem 1's
 //! guarantee rests on.
 //!
-//! Two implementations with identical greedy semantics:
-//!
-//! - [`greedy_max_cover`]: a lazy max-heap. Coverage gain is submodular
-//!   (marginal counts only decrease), so re-evaluating a popped entry whose
-//!   stored gain is stale and pushing it back is exact — the same trick
-//!   CELF applies to spread estimation.
-//! - [`greedy_max_cover_bucket`]: bucket queue indexed by count, giving the
-//!   O(Σ|R|) linear-time bound quoted in §3.1.
+//! [`greedy_max_cover`] keeps a lazy max-heap. Coverage gain is submodular
+//! (marginal counts only decrease), so re-evaluating a popped entry whose
+//! stored gain is stale and pushing it back is exact — the same trick
+//! CELF applies to spread estimation. Each round takes the maximum
+//! `(gain, node)` pair, ties toward the largest id; once every gain is
+//! zero it pads with the smallest unselected id.
 
 use crate::{SetCollection, SetsAccess};
 use std::collections::BinaryHeap;
@@ -70,7 +68,7 @@ impl EvalStats {
 
 /// Greedy max-coverage with a lazy max-heap.
 ///
-/// Picks `k` distinct nodes (padding with arbitrary unselected nodes once
+/// Picks `k` distinct nodes (padding with the smallest unselected ids once
 /// every set is covered, so the result always has `min(k, n)` seeds, as
 /// Algorithm 1 always returns a size-`k` set).
 ///
@@ -186,8 +184,8 @@ pub fn greedy_max_cover_indexed_stats<C: SetsAccess>(
                 result.marginal.push(newly);
             }
             None => {
-                // All remaining nodes have zero gain: pad with arbitrary
-                // unselected nodes so |S| = k, as Algorithm 1 requires.
+                // All remaining nodes have zero gain: pad with the
+                // smallest unselected id so |S| = k, as Algorithm 1 requires.
                 let pad = (0..n as NodeId).find(|&v| !selected[v as usize]);
                 match pad {
                     Some(v) => {
@@ -208,110 +206,21 @@ pub fn greedy_max_cover_indexed_stats<C: SetsAccess>(
     (result, stats)
 }
 
-/// Greedy max-coverage with a bucket queue (linear-time variant).
-///
-/// Functionally identical to [`greedy_max_cover`]; kept separate as the
-/// `max_cover` bench's ablation target for the selection data structure.
-pub fn greedy_max_cover_bucket(collection: &mut SetCollection, k: usize) -> CoverResult {
-    collection.ensure_inverted_index();
-    greedy_max_cover_bucket_indexed(collection, k)
-}
-
-/// [`greedy_max_cover_bucket`] over a shared (`&`) collection whose
-/// inverted index is already built; see [`greedy_max_cover_indexed`] for
-/// why the `&self` variant exists and what the generic parameter buys.
-///
-/// # Panics
-/// Panics if the inverted index is stale
-/// ([`SetsAccess::has_inverted_index`] is false).
-pub fn greedy_max_cover_bucket_indexed<C: SetsAccess>(collection: &C, k: usize) -> CoverResult {
-    assert!(
-        collection.has_inverted_index(),
-        "inverted index is stale; call ensure_inverted_index first"
-    );
-    let n = collection.universe();
-    let k = k.min(n);
-
-    let mut covered = vec![false; collection.len()];
-    let mut gain: Vec<usize> = (0..n as NodeId).map(|v| collection.degree(v)).collect();
-    let mut selected = vec![false; n];
-
-    let max_gain = gain.iter().copied().max().unwrap_or(0);
-    // buckets[g] holds candidate nodes whose gain was g at insertion; stale
-    // entries are filtered on pop (gains only decrease, so scanning from the
-    // top bucket downward is amortised linear).
-    let mut buckets: Vec<Vec<NodeId>> = vec![Vec::new(); max_gain + 1];
-    for v in 0..n as NodeId {
-        if gain[v as usize] > 0 {
-            buckets[gain[v as usize]].push(v);
-        }
-    }
-    let mut cursor = max_gain;
-
-    let mut result = CoverResult {
-        seeds: Vec::with_capacity(k),
-        marginal: Vec::with_capacity(k),
-        covered: 0,
-    };
-
-    while result.seeds.len() < k {
-        // Find the true current maximum by draining stale entries.
-        let mut best: Option<NodeId> = None;
-        while cursor > 0 {
-            match buckets[cursor].pop() {
-                Some(v) => {
-                    if selected[v as usize] {
-                        continue;
-                    }
-                    let g = gain[v as usize];
-                    if g == cursor {
-                        best = Some(v);
-                        break;
-                    }
-                    if g > 0 {
-                        buckets[g].push(v); // re-file at current gain
-                    }
-                }
-                None => cursor -= 1,
-            }
-        }
-        match best {
-            Some(v) => {
-                selected[v as usize] = true;
-                let mut newly = 0usize;
-                for &set_id in collection.sets_containing(v) {
-                    let s = set_id as usize;
-                    if !covered[s] {
-                        covered[s] = true;
-                        newly += 1;
-                        for &u in collection.set(s) {
-                            gain[u as usize] -= 1;
-                        }
-                    }
-                }
-                result.covered += newly;
-                result.seeds.push(v);
-                result.marginal.push(newly);
-            }
-            None => {
-                let pad = (0..n as NodeId).find(|&v| !selected[v as usize]);
-                match pad {
-                    Some(v) => {
-                        selected[v as usize] = true;
-                        result.seeds.push(v);
-                        result.marginal.push(0);
-                    }
-                    None => break,
-                }
-            }
-        }
-    }
-    result
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::reference::naive_greedy;
+
+    /// The naive reference's answer on `collection`, as a [`CoverResult`].
+    pub(crate) fn reference_cover<C: SetsAccess>(collection: &C, k: usize) -> CoverResult {
+        let sets: Vec<&[NodeId]> = (0..collection.len()).map(|i| collection.set(i)).collect();
+        let (seeds, marginal, covered) = naive_greedy(collection.universe(), &sets, k);
+        CoverResult {
+            seeds,
+            marginal,
+            covered,
+        }
+    }
 
     fn collection(sets: &[&[NodeId]], n: usize) -> SetCollection {
         let mut c = SetCollection::new(n);
@@ -330,16 +239,6 @@ mod tests {
         assert_eq!(r.marginal[0], 3);
         assert_eq!(r.seeds[1], 3);
         assert_eq!(r.covered, 4);
-    }
-
-    #[test]
-    fn bucket_variant_agrees_on_coverage() {
-        let mut c1 = collection(&[&[9, 0], &[9, 1], &[9, 2], &[3]], 10);
-        let mut c2 = c1.clone();
-        let a = greedy_max_cover(&mut c1, 2);
-        let b = greedy_max_cover_bucket(&mut c2, 2);
-        assert_eq!(a.covered, b.covered);
-        assert_eq!(a.seeds[0], b.seeds[0]);
     }
 
     #[test]
@@ -418,10 +317,9 @@ mod tests {
         // Padded seeds contribute zero marginal.
         assert_eq!(r.marginal[1], 0);
         assert_eq!(r.marginal[2], 0);
-
-        let mut c2 = collection(&[&[0]], 5);
-        let r2 = greedy_max_cover_bucket(&mut c2, 3);
-        assert_eq!(r2.seeds.len(), 3);
+        // Padding takes the smallest unselected ids.
+        assert_eq!(r, reference_cover(&c, 3));
+        assert_eq!(r.seeds, vec![0, 1, 2]);
     }
 
     #[test]
@@ -433,7 +331,7 @@ mod tests {
 
     #[test]
     fn seeds_are_distinct() {
-        let mut c = collection(&[&[0, 1], &[1, 2], &[2, 0], &[3, 1]], 4);
+        let c = collection(&[&[0, 1], &[1, 2], &[2, 0], &[3, 1]], 4);
         for k in 1..=4 {
             let mut cc = c.clone();
             let r = greedy_max_cover(&mut cc, k);
@@ -441,25 +339,16 @@ mod tests {
             s.sort_unstable();
             s.dedup();
             assert_eq!(s.len(), r.seeds.len(), "duplicate seeds at k={k}");
-            let mut cc2 = c.clone();
-            let r2 = greedy_max_cover_bucket(&mut cc2, k);
-            let mut s2 = r2.seeds.clone();
-            s2.sort_unstable();
-            s2.dedup();
-            assert_eq!(s2.len(), r2.seeds.len());
         }
-        let _ = &mut c;
     }
 
     #[test]
     fn indexed_variants_match_the_mutable_entry_points() {
         let mut c = collection(&[&[9, 0], &[9, 1], &[9, 2], &[3], &[1, 2]], 10);
-        let want_heap = greedy_max_cover(&mut c.clone(), 3);
-        let want_bucket = greedy_max_cover_bucket(&mut c.clone(), 3);
+        let want = greedy_max_cover(&mut c.clone(), 3);
         c.ensure_inverted_index();
         let shared: &SetCollection = &c;
-        assert_eq!(greedy_max_cover_indexed(shared, 3), want_heap);
-        assert_eq!(greedy_max_cover_bucket_indexed(shared, 3), want_bucket);
+        assert_eq!(greedy_max_cover_indexed(shared, 3), want);
     }
 
     #[test]
@@ -515,17 +404,13 @@ mod tests {
                 };
                 c.push(&members);
             }
-            let mut c2 = c.clone();
             let k = 1 + rng.next_index(8);
-            let a = greedy_max_cover(&mut c, k);
-            let b = greedy_max_cover_bucket(&mut c2, k);
-            // Tie-breaking may differ, but every greedy run is a
-            // (1 - 1/e)-approximation, so neither can fall below that
-            // fraction of the other.
-            let (lo, hi) = (a.covered.min(b.covered), a.covered.max(b.covered));
-            assert!(
-                lo as f64 >= (1.0 - 1.0 / std::f64::consts::E) * hi as f64,
-                "trial {trial} k={k}: {lo} vs {hi}"
+            // Same seeds, marginals and coverage as the naive reference:
+            // the lazy heap breaks ties exactly as the contract says.
+            assert_eq!(
+                greedy_max_cover(&mut c, k),
+                reference_cover(&c, k),
+                "trial {trial} k={k}"
             );
         }
     }

@@ -11,24 +11,18 @@
 //!   layout is what makes TIM's node-selection phase memory-bound rather
 //!   than allocator-bound; its size is exactly what the paper's Figure 12
 //!   measures.
-//! - [`greedy_max_cover`] — lazy-heap greedy (CELF-style; exact for
-//!   submodular coverage).
-//! - [`greedy_max_cover_bucket`] — bucket-queue greedy with the linear-time
-//!   bound of \[3\]'s Step 2.
-//! - [`greedy_max_cover_indexed_stats`] — the lazy-heap solver plus its
+//! - [`greedy_max_cover`] — the one greedy solver: a lazy max-heap
+//!   (CELF-style; exact for submodular coverage).
+//! - [`greedy_max_cover_indexed_stats`] — the same solver plus its
 //!   [`EvalStats`] work counters (rounds, gain evaluations, re-pushes).
 //!
-//! The heap and bucket solvers return identical coverage values
-//! (tie-breaking may differ); the criterion bench `max_cover` compares
-//! their constants.
-//!
-//! The `&mut` in the solver entry points exists only to build the lazy
+//! The `&mut` in [`greedy_max_cover`] exists only to build the lazy
 //! inverted index; once [`SetCollection::has_inverted_index`] holds, the
-//! `*_indexed` variants solve the same instance through a shared `&`
+//! `*_indexed` entry points solve the same instance through a shared `&`
 //! reference — which is what lets `tim_engine`/`tim_server` answer many
 //! queries concurrently against one immutable pool.
 //!
-//! The `*_indexed` solvers are generic over the [`SetsAccess`] backing
+//! The `*_indexed` entry points are generic over the [`SetsAccess`] backing
 //! seam: [`SetCollection`] serves from the heap, [`MmapSets`] serves
 //! zero-copy from a mapped `.timp` v2 pool file whose inverted index was
 //! persisted at spill time, and [`SetsStore`]/[`SetsView`] carry the
@@ -39,12 +33,14 @@
 mod collection;
 mod greedy;
 mod mmap_sets;
+#[cfg(test)]
+mod reference;
 mod store;
 
 pub use collection::{build_inverted_index, count_covered_indexed, SetCollection, SetsAccess};
 pub use greedy::{
-    greedy_max_cover, greedy_max_cover_bucket, greedy_max_cover_bucket_indexed,
-    greedy_max_cover_indexed, greedy_max_cover_indexed_stats, CoverResult, EvalStats,
+    greedy_max_cover, greedy_max_cover_indexed, greedy_max_cover_indexed_stats, CoverResult,
+    EvalStats,
 };
 pub use mmap_sets::{MmapSets, MmapSetsLayout, SETS_SECTION_COUNT, SETS_SECTION_NAMES};
 pub use store::{SetsStore, SetsView};

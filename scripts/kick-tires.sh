@@ -50,6 +50,13 @@ if "$TIM" snapshot "$GRAPH" --out out/kick-tires/ba_small.v1.timg --format v1 \
 fi
 grep -q '^error: .*read-only' out/kick-tires/snapshot_v1.log \
     && echo "tim snapshot --format v1 rejected: OK"
+# A command that fails on its inputs says so in one line, without usage.
+if [ "$(wc -l < out/kick-tires/snapshot_v1.log)" -ne 1 ] \
+    || grep -q 'usage:' out/kick-tires/snapshot_v1.log; then
+    echo "tim snapshot --format v1 printed more than its error line" >&2
+    exit 1
+fi
+echo "tim snapshot --format v1 error is a single line: OK"
 # v1 files are still read: the frozen fixture loads like any graph.
 "$TIM" stats crates/graph/tests/fixtures/v1.timg | tee out/kick-tires/stats_v1.txt
 grep -q 'nodes' out/kick-tires/stats_v1.txt && echo "v1 fixture loads through tim stats: OK"
@@ -320,6 +327,11 @@ for flags in "--select-strategy lazy" "--select-threads 4" "--select-threds 4"; 
     fi
     grep -q '^error: unknown flag' out/kick-tires/unknown_flag.log \
         && echo "tim query $flags rejected: OK"
+    # A malformed command line is answered with the usage text.
+    if ! grep -q '^usage:' out/kick-tires/unknown_flag.log; then
+        echo "tim query $flags printed no usage text" >&2
+        exit 1
+    fi
 done
 # The removed per-graph selection-thread override is an unknown key.
 if "$TIM" query --graph "g=$SNAP2::select_threads=4" < /dev/null \

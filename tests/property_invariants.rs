@@ -2,9 +2,13 @@
 //! graphs and random seed sets.
 
 use proptest::prelude::*;
-use tim_influence::coverage::{greedy_max_cover, greedy_max_cover_bucket, SetCollection};
+use tim_influence::coverage::{greedy_max_cover, SetCollection};
 use tim_influence::prelude::*;
 use tim_influence::rng::Xoshiro256pp as TimRng;
+
+#[path = "../crates/coverage/src/reference.rs"]
+mod reference;
+use reference::naive_greedy;
 
 /// Strategy: a random directed graph as (n, edge list with probabilities).
 fn arb_graph() -> impl Strategy<Value = Graph> {
@@ -102,16 +106,18 @@ proptest! {
             let members: Vec<NodeId> = s.iter().copied().collect();
             c.push(&members);
         }
-        let mut c2 = c.clone();
         let r = greedy_max_cover(&mut c, k);
         for w in r.marginal.windows(2) {
             prop_assert!(w[0] >= w[1], "marginals increased: {:?}", r.marginal);
         }
         prop_assert_eq!(r.covered, c.count_covered(&r.seeds));
-        // Bucket variant achieves the same (1-1/e)-sound coverage range.
-        let rb = greedy_max_cover_bucket(&mut c2, k);
-        let (lo, hi) = (r.covered.min(rb.covered), r.covered.max(rb.covered));
-        prop_assert!(lo as f64 >= (1.0 - 1.0 / std::f64::consts::E) * hi as f64);
+        // The naive reference of the documented contract picks the same
+        // seeds with the same marginals.
+        let members: Vec<&[NodeId]> = (0..c.len()).map(|i| c.set(i)).collect();
+        let (seeds, marginal, covered) = naive_greedy(25, &members, k);
+        prop_assert_eq!(&r.seeds, &seeds);
+        prop_assert_eq!(&r.marginal, &marginal);
+        prop_assert_eq!(r.covered, covered);
     }
 
     #[test]
